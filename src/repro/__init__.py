@@ -66,7 +66,7 @@ Sub-packages
     tables, and driven from the ``python -m repro.campaign`` CLI.
 """
 
-__version__ = "1.10.0"
+__version__ = "1.11.0"
 
 __all__ = [
     "core",

@@ -15,11 +15,12 @@ Tokens and operands:
 Simulation:
     :func:`generate_simulator`, :class:`SimulationEngine`,
     :class:`EngineOptions`, :class:`EngineContext`,
-    :class:`SimulationStatistics`, :class:`InstructionDecoder`
+    :class:`SimulationStatistics`, :class:`InstructionDecoder`,
+    :class:`TokenLayout`
 """
 
 from repro.core.arc import InputArc, OutputArc, TokenKind
-from repro.core.decoder import BindingPlan, DecodedTemplate, InstructionDecoder
+from repro.core.decoder import InstructionDecoder, TokenLayout
 from repro.core.engine import EngineContext, EngineOptions, SimulationEngine
 from repro.core.exceptions import (
     CapacityError,
@@ -68,8 +69,7 @@ __all__ = [
     "SymbolKind",
     "DecodeContext",
     "InstructionDecoder",
-    "BindingPlan",
-    "DecodedTemplate",
+    "TokenLayout",
     "SimulationEngine",
     "EngineOptions",
     "EngineContext",

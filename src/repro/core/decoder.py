@@ -5,72 +5,84 @@ generated, and cache decoded instructions for reuse ("the tokens are cached
 for later reuse in the simulator", Section 5).  This module implements that
 scheme generically:
 
-* a *decode cache* keyed by the instruction word stores the decoded ISA
-  instruction, its operation class and a *binding plan*;
-* the binding plan is the partially evaluated result of the operation
-  class's symbol binder: for each symbol it records whether the symbol is a
-  register (and which :class:`~repro.core.operands.Register` object it
-  resolves to), a constant, or a plain value;
-* creating a token for a dynamic instance then only instantiates fresh
-  :class:`~repro.core.operands.RegRef` objects over the pre-resolved
-  registers — no field extraction or register lookup is repeated.
+* a *decode cache* keyed by the instruction word stores one
+  :class:`TokenLayout` per word: the decoded ISA instruction, its operation
+  class and the partially evaluated result of the class's symbol binder —
+  the values and constants every instance shares, the
+  :class:`~repro.core.operands.Register` each fresh RegRef wraps, and where
+  the RegRefs go in the token's flat register-operand tuple;
+* creating a token for a dynamic instance then allocates only the token,
+  its fresh :class:`~repro.core.operands.RegRef` objects (each created
+  already pointing at its token) and any block-transfer lists.  No field
+  extraction, register lookup, operand-dictionary copy or type scan is
+  repeated.
 """
 
 from __future__ import annotations
 
-from repro.core.operands import RegRef
-from repro.core.token import InstructionToken
+from repro.core.operands import RegRef, Register
+from repro.core.token import InstructionToken, check_symbols
 
 
-class BindingPlan:
-    """Partially evaluated operand binding for one static instruction."""
+class TokenLayout:
+    """Everything needed to create tokens of one static instruction.
 
-    __slots__ = ("entries",)
+    Built from the binder's ``{symbol: operand}`` result.  Symbols bound to
+    a :class:`RegRef` become a fresh RegRef per token; lists or tuples
+    containing RegRefs (block-transfer register lists) become a fresh list
+    per token; everything else (:class:`~repro.core.operands.Const`, plain
+    values) is shared by every token.  Symbol names are checked against the
+    token's own attributes here, once per layout.
+    """
 
-    KIND_REGISTER = 0
-    KIND_SHARED = 1  # Const or any immutable operand safe to share across instances
-    KIND_REGISTER_LIST = 2  # a list of RegRefs (block transfers)
+    __slots__ = ("instr", "opclass", "shared", "register_symbols", "registers", "register_lists")
 
-    def __init__(self, operands):
-        self.entries = []
+    def __init__(self, instr, opclass, operands):
+        check_symbols(opclass, operands)
+        self.instr = instr
+        self.opclass = opclass
+        self.shared = {}
+        register_symbols = []
+        registers = []
+        register_lists = []
+        position = 0  # index into the token's flat register-operand tuple
         for symbol, operand in operands.items():
             if isinstance(operand, RegRef):
-                self.entries.append((symbol, self.KIND_REGISTER, operand.register))
+                register_symbols.append(symbol)
+                registers.append(operand.register)
+                position += 1
             elif isinstance(operand, (list, tuple)) and any(
                 isinstance(item, RegRef) for item in operand
             ):
-                registers = [
+                items = tuple(
                     item.register if isinstance(item, RegRef) else item for item in operand
-                ]
-                self.entries.append((symbol, self.KIND_REGISTER_LIST, registers))
+                )
+                register_lists.append((symbol, items, position))
+                position += sum(isinstance(item, RegRef) for item in operand)
             else:
-                self.entries.append((symbol, self.KIND_SHARED, operand))
+                self.shared[symbol] = operand
+        self.register_symbols = tuple(register_symbols)
+        self.registers = tuple(registers)
+        self.register_lists = tuple(register_lists)
 
-    def instantiate(self):
-        """Materialise a fresh operand dictionary for one dynamic instance."""
-        operands = {}
-        for symbol, kind, payload in self.entries:
-            if kind == self.KIND_REGISTER:
-                operands[symbol] = RegRef(payload)
-            elif kind == self.KIND_REGISTER_LIST:
-                operands[symbol] = [
-                    RegRef(item) if hasattr(item, "regfile") else item for item in payload
-                ]
-            else:
-                operands[symbol] = payload
-        return operands
+    @classmethod
+    def bind(cls, opclass, instr, context):
+        """Run ``opclass``'s binder for ``instr`` and lay out the result."""
+        return cls(instr, opclass.name, opclass.bind(instr, context))
 
-
-class DecodedTemplate:
-    """Cached decode result: ISA instruction + operation class + binding plan."""
-
-    __slots__ = ("word", "instr", "opclass", "plan")
-
-    def __init__(self, word, instr, opclass, plan):
-        self.word = word
-        self.instr = instr
-        self.opclass = opclass
-        self.plan = plan
+    def instantiate(self, pc=0):
+        """Create the token of one dynamic instance fetched from ``pc``."""
+        token = InstructionToken(self.instr, self.opclass, pc)
+        attributes = token.__dict__
+        attributes.update(self.shared)
+        refs = [RegRef(register, token) for register in self.registers]
+        attributes.update(zip(self.register_symbols, refs))
+        for symbol, items, position in self.register_lists:
+            fresh = [RegRef(item, token) if isinstance(item, Register) else item for item in items]
+            attributes[symbol] = fresh
+            refs[position:position] = [ref for ref in fresh if isinstance(ref, RegRef)]
+        token._register_refs = tuple(refs)
+        return token
 
 
 class InstructionDecoder:
@@ -91,7 +103,8 @@ class InstructionDecoder:
         symbol binders.
     use_cache:
         Enables the decode cache / partial evaluation (on by default; the
-        ablation benchmark turns it off).
+        ablation benchmark turns it off, which rebuilds the layout on every
+        fetch).
     """
 
     def __init__(self, net, isa_decode, context, classify=None, use_cache=True):
@@ -104,36 +117,25 @@ class InstructionDecoder:
         self.hits = 0
         self.misses = 0
 
-    def _build_template(self, word):
+    def _build_layout(self, word):
+        """Decode ``word`` and build its :class:`TokenLayout` (no caching)."""
         instr = self.isa_decode(word)
-        opclass_name = self.classify(instr)
-        opclass = self.net.operation_classes[opclass_name]
-        operands = opclass.bind(instr, self.context)
-        return DecodedTemplate(word, instr, opclass_name, BindingPlan(operands))
+        opclass = self.net.operation_classes[self.classify(instr)]
+        return TokenLayout.bind(opclass, instr, self.context)
 
     def decode_word(self, word, pc=0):
         """Decode ``word`` fetched from ``pc`` into an instruction token."""
         if self.use_cache:
-            template = self._cache.get(word)
-            if template is None:
+            layout = self._cache.get(word)
+            if layout is None:
                 self.misses += 1
-                template = self._build_template(word)
-                self._cache[word] = template
+                layout = self._cache[word] = self._build_layout(word)
             else:
                 self.hits += 1
         else:
             self.misses += 1
-            template = self._build_template(word)
-
-        token = InstructionToken(
-            instr=template.instr,
-            opclass=template.opclass,
-            pc=pc,
-            operands=template.plan.instantiate(),
-        )
-        for operand in token.register_operands():
-            operand.token = token
-        return token
+            layout = self._build_layout(word)
+        return layout.instantiate(pc)
 
     def cache_info(self):
         return {"hits": self.hits, "misses": self.misses, "entries": len(self._cache)}

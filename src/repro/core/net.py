@@ -260,7 +260,7 @@ class RCPN:
         for stage in self.stages.values():
             stage.reset()
         for regfile in self.register_files.values():
-            regfile.writers = [None] * regfile.size
+            regfile.clear_writers()
         for unit in self.units.values():
             if getattr(unit, "clears_with_net", False):
                 unit.reset()

@@ -64,7 +64,11 @@ class RegisterFile:
 
     def reset(self, initial=0):
         self.data = [initial] * self.size
-        self.writers = [None] * self.size
+        self.clear_writers()
+
+    def clear_writers(self):
+        """Drop every pending write reservation (the list is cleared in place)."""
+        self.writers[:] = [None] * self.size
 
     def register(self, index, name=None):
         """Create a :class:`Register` view of slot ``index``."""
@@ -149,7 +153,8 @@ class RegRef(Operand):
         pending writer's instruction currently resides in the pipeline state
         (place) named ``state`` — the forwarding/bypass condition.
         """
-        writer = self.register.writer
+        register = self.register
+        writer = register.regfile.writers[register.index]
         if state is None:
             return writer is None or writer is self
         if writer is None or writer is self:
@@ -172,54 +177,65 @@ class RegRef(Operand):
         the writer's result.  Only the :attr:`value` setter — an actual
         result — makes the reference forwardable.
         """
+        register = self.register
+        regfile = register.regfile
+        writer = regfile.writers[register.index]
         if state is None:
-            if not self.can_read():
+            if writer is not None and writer is not self:
                 raise HazardProtocolError(
                     "read() of %s while a write is pending; guard the arc with can_read()"
-                    % self.register.name
+                    % register.name
                 )
-            self._value = self.register.value
+            self._value = regfile.data[register.index]
         else:
-            writer = self.register.writer
             if writer is None or writer is self or not _writer_in_state(writer, state):
                 raise HazardProtocolError(
                     "read(%r) of %s but its writer is not in that state; "
-                    "guard the arc with can_read(%r)" % (state, self.register.name, state)
+                    "guard the arc with can_read(%r)" % (state, register.name, state)
                 )
-            self._value = writer.internal_value
+            self._value = writer._value
         return self._value
 
     # -- write side ------------------------------------------------------
     def can_write(self):
         """True if the register can be reserved for writing (no pending writer)."""
-        writer = self.register.writer
+        register = self.register
+        writer = register.regfile.writers[register.index]
         return writer is None or writer is self
 
     def reserve_write(self):
         """Register this RegRef (and its instruction) as the pending writer."""
-        if not self.can_write():
+        register = self.register
+        writers = register.regfile.writers
+        writer = writers[register.index]
+        if writer is not None and writer is not self:
             raise HazardProtocolError(
                 "reserve_write() of %s while another write is pending; "
-                "guard the arc with can_write()" % self.register.name
+                "guard the arc with can_write()" % register.name
             )
-        self.register.writer = self
+        writers[register.index] = self
         self._reserved = True
 
     def writeback(self):
         """Commit the internal value to the register and clear the writer."""
+        register = self.register
         if not self._has_value:
             raise HazardProtocolError(
-                "writeback() of %s before a value was produced" % self.register.name
+                "writeback() of %s before a value was produced" % register.name
             )
-        self.register.value = self._value
-        if self.register.writer is self:
-            self.register.writer = None
+        regfile = register.regfile
+        index = register.index
+        regfile.data[index] = self._value
+        if regfile.writers[index] is self:
+            regfile.writers[index] = None
         self._reserved = False
 
     def release(self):
         """Drop the write reservation without committing (squashed instruction)."""
-        if self.register.writer is self:
-            self.register.writer = None
+        register = self.register
+        writers = register.regfile.writers
+        if writers[register.index] is self:
+            writers[register.index] = None
         self._reserved = False
 
     # -- value access ----------------------------------------------------

@@ -15,8 +15,8 @@ from __future__ import annotations
 
 from enum import Enum
 
+from repro.core.decoder import TokenLayout
 from repro.core.exceptions import ModelError
-from repro.core.token import InstructionToken
 
 
 class SymbolKind(Enum):
@@ -58,12 +58,9 @@ class OperationClass:
         return operands
 
     def make_token(self, instr, context, pc=0):
-        """Decode ``instr`` into an :class:`InstructionToken` of this class."""
-        operands = self.bind(instr, context)
-        token = InstructionToken(instr=instr, opclass=self.name, pc=pc, operands=operands)
-        for operand in token.register_operands():
-            operand.token = token
-        return token
+        """Decode ``instr`` into an :class:`~repro.core.token.InstructionToken`
+        of this class (through the same :class:`TokenLayout` the decoder uses)."""
+        return TokenLayout.bind(self, instr, context).instantiate(pc)
 
     def __repr__(self):
         return "<OperationClass %s symbols=%s>" % (self.name, sorted(self.symbols))

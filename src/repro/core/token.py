@@ -13,6 +13,9 @@ from __future__ import annotations
 
 import itertools
 
+from repro.core.exceptions import ModelError
+from repro.core.operands import RegRef
+
 _sequence = itertools.count()
 
 
@@ -69,38 +72,51 @@ class ReservationToken(Token):
 class InstructionToken(Token):
     """A decoded dynamic instruction and its bound operands.
 
-    ``operands`` maps the symbols of the instruction's operation class to
-    operand objects (:class:`~repro.core.operands.RegRef`,
-    :class:`~repro.core.operands.Const`, plain Python values).  Symbols are
-    also exposed as attributes so model code can be written exactly like the
-    paper's examples: ``t.s1.can_read()``, ``t.d.reserve_write()`` ...
+    The symbols of the instruction's operation class (bound to
+    :class:`~repro.core.operands.RegRef`,
+    :class:`~repro.core.operands.Const` or plain Python values) are plain
+    instance attributes, set once when the token is created, so model code
+    reads them exactly like the paper's examples — ``t.s1.can_read()``,
+    ``t.d.reserve_write()`` — at the cost of an ordinary attribute lookup.
+    Tokens are normally created by a
+    :class:`~repro.core.decoder.TokenLayout`; passing ``operands`` here
+    binds the given objects as they are.
+
+    The per-instruction flags the shared semantics read on the hot path are
+    attributes too, with class-level defaults: ``executed`` (the condition
+    passed at issue), ``redirect`` (a PC value to redirect fetch to at
+    writeback, ``None`` for none), ``predicted_taken`` (the BTB redirected
+    fetch after this instruction) and ``issued`` (the multi-issue arbiter
+    let it issue).  Everything else a transition wants to carry between
+    stages goes into the ``annotations`` dictionary.
     """
 
-    __slots__ = ("instr", "opclass", "pc", "operands", "annotations", "squashed")
-
     is_instruction = True
+
+    executed = False
+    redirect = None
+    predicted_taken = False
+    issued = False
+    squashed = False
+    _register_refs = ()
 
     def __init__(self, instr, opclass, pc=0, operands=None):
         super().__init__()
         self.instr = instr
         self.opclass = opclass
         self.pc = pc
-        self.operands = dict(operands or {})
         self.annotations = {}
-        self.squashed = False
+        if operands:
+            check_symbols(opclass, operands)
+            self.__dict__.update(operands)
+            self._register_refs = _flatten_register_operands(operands.values())
 
     def __getattr__(self, name):
-        # Only called when normal attribute lookup fails: resolve operation
-        # class symbols (t.s1, t.d, ...) from the operand binding.
-        try:
-            operands = object.__getattribute__(self, "operands")
-        except AttributeError:
-            raise AttributeError(name) from None
-        if name in operands:
-            return operands[name]
+        # Only reached when normal lookup fails: symbols are instance
+        # attributes, so this is a genuine miss.
         raise AttributeError(
             "%r is neither a token attribute nor a symbol of operation class %r"
-            % (name, object.__getattribute__(self, "opclass"))
+            % (name, self.__dict__.get("opclass"))
         )
 
     @property
@@ -108,25 +124,29 @@ class InstructionToken(Token):
         """The operation class name (paper notation: ``t.type``)."""
         return self.opclass
 
+    @property
+    def operands(self):
+        """The bound symbols as a fresh ``{symbol: operand}`` dictionary."""
+        return {
+            name: value
+            for name, value in self.__dict__.items()
+            if name not in RESERVED_ATTRIBUTES
+        }
+
     def symbol(self, name):
-        """Explicit symbol lookup (same as attribute access)."""
-        return self.operands[name]
+        """Explicit symbol lookup; raises ``KeyError`` for a non-symbol."""
+        if name in RESERVED_ATTRIBUTES:
+            raise KeyError(name)
+        return self.__dict__[name]
 
     def register_operands(self):
-        """All operands that participate in the register-hazard protocol.
+        """All RegRefs that take part in the register-hazard protocol.
 
-        Operands bound to lists (block-transfer register lists) are
-        flattened so every RegRef is covered by squash/release handling.
+        Block-transfer register lists are flattened, so squash/release
+        handling covers every RegRef.  The tuple is computed once, when the
+        token is created, in the order the binder bound the symbols.
         """
-        from repro.core.operands import RegRef
-
-        found = []
-        for operand in self.operands.values():
-            if isinstance(operand, RegRef):
-                found.append(operand)
-            elif isinstance(operand, (list, tuple)):
-                found.extend(item for item in operand if isinstance(item, RegRef))
-        return found
+        return self._register_refs
 
     def release_reservations(self):
         """Drop any write reservations held by this token's operands.
@@ -134,9 +154,39 @@ class InstructionToken(Token):
         Called when a token is squashed (wrong-path flush) so that younger
         correct-path instructions are not blocked forever.
         """
-        for operand in self.register_operands():
+        for operand in self._register_refs:
             operand.release()
 
     def __repr__(self):
         where = self.place.name if self.place is not None else "limbo"
         return "<InstructionToken #%d %s pc=%#x in %s>" % (self.seq, self.opclass, self.pc, where)
+
+
+#: Names a binder may not use for a symbol: every attribute of
+#: :class:`InstructionToken` (class attributes, methods and properties, the
+#: :class:`Token` slots, and the attributes ``__init__`` sets).  A symbol of
+#: one of these names would silently overwrite token state.
+RESERVED_ATTRIBUTES = frozenset(dir(InstructionToken)) | frozenset(
+    ("instr", "opclass", "pc", "annotations")
+)
+
+
+def check_symbols(opclass, symbols):
+    """Raise :class:`ModelError` if a symbol name collides with token state."""
+    clashes = RESERVED_ATTRIBUTES.intersection(symbols)
+    if clashes:
+        raise ModelError(
+            "operation class %r binds symbol %r, which collides with an "
+            "InstructionToken attribute" % (opclass, min(clashes))
+        )
+
+
+def _flatten_register_operands(operands):
+    """The RegRefs among ``operands``, with RegRef lists/tuples flattened in place."""
+    found = []
+    for operand in operands:
+        if isinstance(operand, RegRef):
+            found.append(operand)
+        elif isinstance(operand, (list, tuple)):
+            found.extend(item for item in operand if isinstance(item, RegRef))
+    return tuple(found)

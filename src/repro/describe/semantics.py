@@ -165,7 +165,7 @@ class ArmSemantics:
         backend_redirect = self.backend_redirect
 
         def recovered(t, ctx, _action=action):
-            if t.annotations.get("predicted_taken"):
+            if t.predicted_taken:
                 # A BTB alias redirected fetch after a non-branch: recover.
                 backend_redirect(ctx, (t.pc + 4) & 0xFFFFFFFF, t)
             _action(t, ctx)
@@ -257,12 +257,11 @@ class ArmSemantics:
                 word = memory.read_word(pc)
                 token = decoder.decode_word(word, pc=pc)
                 token.delay = memory.instruction_delay(pc)
-                token.annotations["predicted_taken"] = bool(hit and predicted_taken)
+                token.predicted_taken = bool(hit and predicted_taken)
                 if hit and predicted_taken:
                     core.redirect(predicted_target)
                 else:
                     core.redirect(pc + 4)
-                core.sequence += 1
                 if issue_control is not None:
                     issue_control.note_fetch(token)
                 ctx.emit(token)
@@ -338,7 +337,7 @@ class ArmSemantics:
 
         def alu_issue_action(t, _ctx):
             executed = condition_holds(t, FWD)
-            t.annotations["executed"] = executed
+            t.executed = executed
             if not executed:
                 return
             operand_read(t.s1, FWD)
@@ -348,7 +347,7 @@ class ArmSemantics:
                 t.fl.reserve_write()
 
         def alu_execute_action(t, _ctx):
-            if not t.annotations.get("executed"):
+            if not t.executed:
                 return
             result, flags = compute_alu(t)
             if result is not None:
@@ -356,17 +355,17 @@ class ArmSemantics:
             if flags is not None:
                 t.fl.value = flags
             if t.writes_pc and result is not None:
-                t.annotations["redirect"] = result
+                t.redirect = result
 
         def alu_writeback_action(t, ctx):
-            if not t.annotations.get("executed"):
+            if not t.executed:
                 return
             if t.d.has_value:
                 t.d.writeback()
             if t.writes_flags and t.fl.has_value:
                 t.fl.writeback()
-            if "redirect" in t.annotations:
-                backend_redirect(ctx, t.annotations["redirect"], t)
+            if t.redirect is not None:
+                backend_redirect(ctx, t.redirect, t)
 
         register("alu.issue", alu_issue_guard, self._with_recovery(alu_issue_action))
         register("alu.execute", action=alu_execute_action)
@@ -393,7 +392,7 @@ class ArmSemantics:
 
         def alu_bypass_action(t, _ctx):
             executed = condition_holds(t, FWD)
-            t.annotations["executed"] = executed
+            t.executed = executed
             if not executed:
                 return
             t.s1.read(s1_state)
@@ -420,7 +419,7 @@ class ArmSemantics:
 
         def mul_issue_action(t, _ctx):
             executed = condition_holds(t, FWD)
-            t.annotations["executed"] = executed
+            t.executed = executed
             if not executed:
                 return
             operand_read(t.s1, FWD)
@@ -433,7 +432,7 @@ class ArmSemantics:
         def mul_execute_action(t, _ctx):
             # The token delay models the data-dependent latency of the
             # early-termination multiplier.
-            if not t.annotations.get("executed"):
+            if not t.executed:
                 return
             result, flags, cycles = compute_multiply(t)
             t.annotations["result"] = result
@@ -441,14 +440,14 @@ class ArmSemantics:
             t.delay = cycles
 
         def mul_buffer_action(t, _ctx):
-            if not t.annotations.get("executed"):
+            if not t.executed:
                 return
             t.d.value = t.annotations["result"]
             if t.annotations["flags"] is not None:
                 t.fl.value = t.annotations["flags"]
 
         def mul_writeback_action(t, _ctx):
-            if not t.annotations.get("executed"):
+            if not t.executed:
                 return
             t.d.writeback()
             if t.writes_flags and t.fl.has_value:
@@ -478,7 +477,7 @@ class ArmSemantics:
 
         def mem_issue_action(t, _ctx):
             executed = condition_holds(t, FWD)
-            t.annotations["executed"] = executed
+            t.executed = executed
             if not executed:
                 return
             operand_read(t.base, FWD)
@@ -491,7 +490,7 @@ class ArmSemantics:
                 t.base.reserve_write()
 
         def mem_agen_action(t, _ctx):
-            if not t.annotations.get("executed"):
+            if not t.executed:
                 return
             address, updated = compute_memory_address(t)
             t.annotations["address"] = address
@@ -502,7 +501,7 @@ class ArmSemantics:
                 t.base.value = updated
 
         def mem_access_action(t, _ctx):
-            if not t.annotations.get("executed"):
+            if not t.executed:
                 return
             address = t.annotations["address"]
             t.delay = memory.data_delay(address, is_write=not t.L)
@@ -514,7 +513,7 @@ class ArmSemantics:
                     memory.write_word(address, value)
 
         def mem_writeback_action(t, ctx):
-            if not t.annotations.get("executed"):
+            if not t.executed:
                 return
             if t.L:
                 address = t.annotations["address"]
@@ -535,7 +534,7 @@ class ArmSemantics:
         # Figure 5 variant: one transition performs address generation and
         # the memory access; writeback only publishes the latched values.
         def mem_access_combined_action(t, _ctx):
-            if not t.annotations.get("executed"):
+            if not t.executed:
                 return
             address, updated = compute_memory_address(t)
             t.annotations["address"] = address
@@ -551,7 +550,7 @@ class ArmSemantics:
                     memory.write_word(address, value)
 
         def mem_writeback_simple_action(t, _ctx):
-            if not t.annotations.get("executed"):
+            if not t.executed:
                 return
             if t.L:
                 t.r.writeback()
@@ -582,7 +581,7 @@ class ArmSemantics:
 
         def memm_issue_action(t, _ctx):
             executed = condition_holds(t, FWD)
-            t.annotations["executed"] = executed
+            t.executed = executed
             if not executed:
                 return
             operand_read(t.base, FWD)
@@ -596,7 +595,7 @@ class ArmSemantics:
                 t.base.reserve_write()
 
         def memm_agen_action(t, _ctx):
-            if not t.annotations.get("executed"):
+            if not t.executed:
                 return
             addresses, new_base = block_transfer_addresses(t)
             t.annotations["addresses"] = addresses
@@ -605,7 +604,7 @@ class ArmSemantics:
                 t.base.value = new_base
 
         def memm_access_action(t, _ctx):
-            if not t.annotations.get("executed"):
+            if not t.executed:
                 return
             addresses = t.annotations["addresses"]
             latency = 0
@@ -618,7 +617,7 @@ class ArmSemantics:
             t.delay = max(latency, len(addresses))
 
         def memm_writeback_action(t, ctx):
-            if not t.annotations.get("executed"):
+            if not t.executed:
                 return
             if t.L:
                 redirect = None
@@ -651,7 +650,7 @@ class ArmSemantics:
             return condition_holds(t, FWD)
 
         def branch_taken_action(t, ctx):
-            t.annotations["executed"] = True
+            t.executed = True
             t.annotations["taken"] = True
             target = (t.pc + 8 + 4 * t.offset.value) & 0xFFFFFFFF
             if predictor is not None:
@@ -673,7 +672,7 @@ class ArmSemantics:
 
         def branch_not_taken_action(t, _ctx):
             executed = condition_holds(t, FWD)
-            t.annotations["executed"] = executed
+            t.executed = executed
             t.annotations["taken"] = False
             if predictor is not None:
                 predictor.record(t.pc, False)
@@ -692,8 +691,8 @@ class ArmSemantics:
             taken = executed
             target = (t.pc + 8 + 4 * t.offset.value) & 0xFFFFFFFF
             fallthrough = (t.pc + 4) & 0xFFFFFFFF
-            predicted_taken = bool(t.annotations.get("predicted_taken"))
-            t.annotations["executed"] = executed
+            predicted_taken = t.predicted_taken
+            t.executed = executed
             t.annotations["taken"] = taken
 
             predictor.record_outcome(predicted_taken, taken)
@@ -717,7 +716,7 @@ class ArmSemantics:
 
         def branch_decode_fig5_action(t, _ctx):
             taken = condition_holds(t, FWD)
-            t.annotations["executed"] = True
+            t.executed = True
             t.annotations["taken"] = taken
             if taken and t.link:
                 t.lr.reserve_write()
@@ -748,7 +747,7 @@ class ArmSemantics:
 
         def system_issue_action(t, ctx):
             executed = condition_holds(t, FWD)
-            t.annotations["executed"] = executed
+            t.executed = executed
             if not executed:
                 return
             if t.op == SystemOp.HALT:
@@ -759,7 +758,7 @@ class ArmSemantics:
                 t.annotations["syscall"] = t.imm
 
         def system_retire_action(t, ctx):
-            if not t.annotations.get("executed"):
+            if not t.executed:
                 return
             if t.annotations.get("syscall") == 1:
                 output = getattr(core, "output", None)

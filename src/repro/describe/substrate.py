@@ -64,18 +64,15 @@ class ProcessorCore:
     def __init__(self):
         self.fetch_pc = 0
         self.halted = False
-        self.sequence = 0  # fetch order, stamped into token annotations
 
     def reset(self, entry=0):
         self.fetch_pc = entry
         self.halted = False
-        self.sequence = 0
 
     def next_fetch(self):
         """Return the current fetch address and advance it sequentially."""
         pc = self.fetch_pc
         self.fetch_pc = (pc + 4) & 0xFFFFFFFF
-        self.sequence += 1
         return pc
 
     def redirect(self, target):
@@ -144,7 +141,7 @@ class IssueControl:
 
     def _oldest_live(self):
         order = self._program_order
-        while order and (order[0].squashed or "issued" in order[0].annotations):
+        while order and (order[0].squashed or order[0].issued):
             order.popleft()
         return order[0] if order else None
 
@@ -198,7 +195,7 @@ class IssueControl:
         if port is not None:
             self._port_issued[port] = self._port_issued.get(port, 0) + 1
         if self.in_order:
-            token.annotations["issued"] = True
+            token.issued = True
             self._oldest_live()  # opportunistically drop the retired front
 
 
@@ -460,12 +457,21 @@ def arm_operation_classes():
 # Shared per-class behaviour helpers (used inside transition actions)
 # ---------------------------------------------------------------------------
 
+#: ``_CONDITION_TABLE[cond][nzcv]``: whether condition ``cond`` passes
+#: under the flags nibble ``nzcv``, precomputed from the ISA's
+#: :func:`~repro.isa.conditions.condition_passes`.
+_CONDITION_TABLE = tuple(
+    tuple(condition_passes(cond, unpack_flags(nzcv)) for nzcv in range(16))
+    for cond in Condition
+)
+
+
 def condition_holds(token, forward_states=()):
     """Evaluate the token's condition code, reading flags if needed."""
     if not token.reads_flags:
         return True
     flags_value = operand_read(token.fl, forward_states)
-    return condition_passes(token.cond, unpack_flags(flags_value))
+    return _CONDITION_TABLE[token.cond][(flags_value or 0) & 0xF]
 
 
 def token_flags_ready(token, forward_states=()):
@@ -496,8 +502,8 @@ def compute_alu(token):
     ``reads_flags``), so the carry-in and the preserved overflow bit are
     available here.
     """
-    previous = unpack_flags(token.fl.value) if token.reads_flags else ConditionFlags()
-    carry_in = previous.c
+    previous = (token.fl.value or 0) if token.reads_flags else 0
+    carry_in = bool(previous & 2)
     s1 = token.s1.value or 0
     s2 = token.s2.value or 0
     shifter_carry = carry_in
@@ -508,7 +514,7 @@ def compute_alu(token):
     if token.set_flags or not writes:
         is_logical = token.op in _LOGICAL_OPCODES
         carry_flag = shifter_carry if is_logical else c
-        overflow = previous.v if is_logical else v
+        overflow = previous & 1 if is_logical else v
         flags = pack_flags(n, z, carry_flag, overflow)
     return (result if writes else None), flags
 
@@ -520,8 +526,8 @@ def compute_multiply(token):
     cycles = multiply_early_termination_cycles(token.s2.value or 0)
     flags = None
     if token.set_flags:
-        previous = unpack_flags(token.fl.value) if token.reads_flags else ConditionFlags()
-        flags = pack_flags(bool(result & 0x80000000), result == 0, previous.c, previous.v)
+        previous = (token.fl.value or 0) if token.reads_flags else 0
+        flags = pack_flags(bool(result & 0x80000000), result == 0, previous & 2, previous & 1)
     return result, flags, cycles
 
 

@@ -34,7 +34,7 @@ class FakeToken:
         FakeToken._next += 1
         self.seq = FakeToken._next
         self.squashed = False
-        self.annotations = {}
+        self.issued = False
         self.is_instruction = True
 
 
