@@ -95,7 +95,7 @@ def run_processor(builder, workload, label=None, max_cycles=None, backend=None, 
     """Run a workload on an RCPN model built by ``builder``.
 
     ``backend`` selects the engine backend (``"interpreted"`` or
-    ``"compiled"``) and is forwarded to the builder; the benchmark harness
+    ``"generated"``) and is forwarded to the builder; the benchmark harness
     uses it to measure the interpreted-vs-generated gap of the paper's
     Figure 10 without duplicating builder plumbing.
     """

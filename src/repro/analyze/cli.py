@@ -2,7 +2,7 @@
 
 ``lint`` runs the spec/net structural rules over registered models,
 ``verify`` proves each backend's executable artefact (emitted source,
-compiled plan, cached schedule) matches an independent re-derivation, and
+cached schedule) matches an independent re-derivation, and
 ``rules`` prints the rule catalogue.  Both analysis commands render text
 (one finding per line) or a JSON document suitable for a CI artifact, and
 exit non-zero when findings reach the ``--fail-on`` threshold.
@@ -18,8 +18,8 @@ from repro.analyze.findings import RULES, SEVERITIES, exceeds, record_rule_hits
 from repro.analyze.rules import lint_registered
 from repro.analyze.sourcecheck import verify_backend, verify_model
 
-#: Backends ``verify`` accepts; codegen backends get the AST treatment.
-VERIFY_BACKENDS = ("interpreted", "compiled", "generated", "batched")
+#: Backends ``verify`` accepts; the generated backend gets the AST treatment.
+VERIFY_BACKENDS = ("interpreted", "generated")
 
 
 def _split(value):
@@ -118,7 +118,7 @@ def _command_verify(args, out):
         for backend in backends:
             findings.extend(verify_backend(name, backend))
             combos += 1
-            if args.trace and backend in ("generated", "batched"):
+            if args.trace and backend == "generated":
                 findings.extend(verify_model(name, backend=backend, trace=True))
                 combos += 1
         per_model[name] = findings
@@ -195,19 +195,19 @@ def build_parser():
 
     verify = commands.add_parser(
         "verify",
-        help="prove backend artefacts (emitted source, plan, schedule) "
+        help="prove backend artefacts (emitted source, schedule) "
         "match a fresh derivation",
     )
     _analysis_arguments(verify)
     verify.add_argument(
         "--backends",
         default=",".join(VERIFY_BACKENDS),
-        help="comma-separated backends to verify (default: all four)",
+        help="comma-separated backends to verify (default: both)",
     )
     verify.add_argument(
         "--trace",
         action="store_true",
-        help="also verify traced emission (TRF/TRS sites) for codegen backends",
+        help="also verify traced emission (TRF/TRS sites) for the generated backend",
     )
     verify.set_defaults(handler=_command_verify)
 

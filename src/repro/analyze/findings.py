@@ -14,7 +14,10 @@ prefix:
 * ``AN0xx`` — spec-level structural lint (:func:`repro.analyze.rules.lint_spec`);
 * ``AN1xx`` — elaborated-net lint (:func:`repro.analyze.rules.lint_net`);
 * ``SV0xx`` — emitted-source verification (:mod:`repro.analyze.sourcecheck`);
-* ``SV1xx`` — interpreted/compiled backend coherence checks.
+* ``SV1xx`` — interpreted backend coherence checks.
+
+Retired ids are never reused: ``SV008`` (batched module shape) and
+``SV102`` (compiled plan summary) went with the backends they checked.
 """
 
 from __future__ import annotations
@@ -75,17 +78,13 @@ _RULE_TABLE = (
     Rule("SV004", "firing-sites", "error",
          "emitted firing-counter sites disagree with the dispatch chains and generators"),
     Rule("SV005", "gate-sites", "error",
-         "emitted issue/advance gate call sites disagree with the compiled guard plan"),
+         "emitted issue/advance gate call sites disagree with the guard plan"),
     Rule("SV006", "trace-sites", "error",
          "TRF/TRS trace call sites do not match the requested trace categories"),
     Rule("SV007", "emit-report", "error",
          "embedded EMIT_REPORT disagrees with counts recovered from the source"),
-    Rule("SV008", "batched-shape", "error",
-         "batched module shape (make_step_batched, EMISSION_MODE, LANES) is wrong"),
     Rule("SV101", "schedule-coherent", "error",
          "interpreted backend: cached static schedule disagrees with a fresh derivation"),
-    Rule("SV102", "plan-coherent", "error",
-         "compiled backend: plan summary disagrees with independent reclassification"),
 )
 
 #: Rule id -> :class:`Rule`.

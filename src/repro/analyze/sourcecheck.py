@@ -1,7 +1,7 @@
 """Emitted-source verification: prove the generated module matches its plan.
 
-The generated/batched backends ``exec`` emitted Python and trust it to
-implement the compiled plan.  This pass removes the trust: it parses the
+The generated backend ``exec``s emitted Python and trusts it to implement
+the model's static plan.  This pass removes the trust: it parses the
 emitted module with :mod:`ast` and re-derives, from the *text*, the plan
 the module actually implements — the place-segment order, the per-place
 operation-class dispatch branches, every firing-counter site, every
@@ -11,10 +11,8 @@ schedule (:func:`repro.codegen.runtime.guard_plan` /
 :func:`~repro.codegen.runtime.action_plan` and
 :meth:`~repro.core.scheduler.StaticSchedule.transitions_for`).
 
-``verify_backend`` extends the idea to the other backends: the interpreted
-engine's (possibly cache-hydrated) schedule is checked against a fresh
-derivation, and the compiled engine's plan summary against an independent
-reclassification of every dispatched transition.
+``verify_backend`` extends the idea to the interpreted backend: its
+(possibly cache-hydrated) schedule is checked against a fresh derivation.
 """
 
 from __future__ import annotations
@@ -220,11 +218,11 @@ def _expected_stall_sites(dispatch):
 
 
 def verify_engine(engine, model=None):
-    """AST-verify one generated/batched engine's emitted module.
+    """AST-verify one generated engine's emitted module.
 
     Returns a list of findings (empty when the source provably matches the
-    compiled plan).  ``engine`` must be a
-    :class:`repro.codegen.GeneratedEngine` (or its batched subclass).
+    static plan).  ``engine`` must be a
+    :class:`repro.codegen.GeneratedEngine`.
     """
     from repro.codegen.cache import codegen_key, emit_trace_categories
     from repro.codegen.runtime import structure_digest
@@ -232,7 +230,6 @@ def verify_engine(engine, model=None):
     net = engine.net
     model = model or net.name
     options = engine.options
-    batched = options.backend == "batched"
     source = engine.source
     module = engine.module
     findings = []
@@ -277,31 +274,15 @@ def verify_engine(engine, model=None):
             % (constants.get("GENERATORS"), expected_generators))
 
     # -- locate the step body ----------------------------------------------
-    maker_name = "make_step_batched" if batched else "make_step"
-    maker = _find_function(tree, maker_name)
+    maker = _find_function(tree, "make_step")
     if maker is None:
-        err("SV008" if batched else "SV001", "source:%s" % maker_name,
-            "emitted module does not define %s" % maker_name)
+        err("SV001", "source:make_step", "emitted module does not define make_step")
         return findings
     step = _find_function(maker, "step")
     if step is None:
-        err("SV008" if batched else "SV001", "source:%s" % maker_name,
-            "emitted %s does not define the inner step function" % maker_name)
+        err("SV001", "source:make_step",
+            "emitted make_step does not define the inner step function")
         return findings
-
-    if batched:
-        arg_names = [arg.arg for arg in step.args.args]
-        if arg_names != ["start", "stride", "active", "done"]:
-            err("SV008", "source:step",
-                "batched step signature is %r, expected (start, stride, active, done)"
-                % (arg_names,))
-        if constants.get("EMISSION_MODE") != "batched":
-            err("SV008", "source:EMISSION_MODE",
-                "batched module does not declare EMISSION_MODE = 'batched'")
-        if constants.get("LANES") != options.lanes:
-            err("SV008", "source:LANES",
-                "module declares %r lanes, engine options say %r"
-                % (constants.get("LANES"), options.lanes))
 
     facts = _StepFacts(step, generator_names=expected_generators)
 
@@ -390,8 +371,7 @@ def verify_engine(engine, model=None):
     if not isinstance(report, dict):
         err("SV007", "source:EMIT_REPORT", "missing or non-dict EMIT_REPORT")
     else:
-        from repro.codegen.runtime import guard_plan
-        from repro.compiled.plan import transition_capacity_shape
+        from repro.codegen.runtime import guard_plan, transition_capacity_shape
 
         emitted = {
             name: transition
@@ -422,8 +402,8 @@ def verify_engine(engine, model=None):
     return findings
 
 
-def verify_model(name, backend="generated", trace=False, lanes=None):
-    """Build one registered model on a codegen backend and verify its source.
+def verify_model(name, backend="generated", trace=False):
+    """Build one registered model on the generated backend and verify its source.
 
     ``trace=True`` requests firing+stall tracing, so the verifier proves
     the TRF/TRS sites appear; otherwise it proves they are absent.
@@ -434,82 +414,46 @@ def verify_model(name, backend="generated", trace=False, lanes=None):
     option_kwargs = {"backend": backend}
     if trace:
         option_kwargs["trace"] = {"categories": ("firing", "stall"), "capacity": 64}
-    if lanes is not None:
-        option_kwargs["lanes"] = lanes
     processor = build_processor(name, engine_options=EngineOptions(**option_kwargs))
     return verify_engine(processor.engine, model=name)
 
 
 def verify_backend(name, backend):
-    """Coherence checks for the interpreted/compiled backends (SV1xx)."""
+    """Coherence checks for one backend: SV101 for interpreted, else SV0xx."""
+    if backend != "interpreted":
+        return verify_model(name, backend=backend)
+    from repro.core.scheduler import place_evaluation_order
     from repro.processors.registry import build_processor
 
-    processor = build_processor(name, backend=backend)
-    engine = processor.engine
+    engine = build_processor(name, backend=backend).engine
     net = engine.net
     findings = []
-    if backend == "interpreted":
-        from repro.core.scheduler import place_evaluation_order
-
-        fresh = [place.name for place in place_evaluation_order(net)]
-        cached = [place.name for place in engine.schedule.order]
-        if cached != fresh:
-            findings.append(finding(
-                "SV101", name, "schedule:order",
-                "cached schedule order %r disagrees with a fresh derivation %r"
-                % (cached, fresh),
-            ))
-        for place in engine.schedule.order:
-            for opclass in net.operation_classes:
-                cached_names = [
-                    t.name for t in engine.schedule.transitions_for(place, opclass)
-                ]
-                subnet = net.subnet_for(opclass)
-                manual = sorted(
-                    (
-                        t for t in net.transitions
-                        if t.source is place and t.subnet is subnet
-                    ),
-                    key=lambda t: t.priority,
-                )
-                if cached_names != [t.name for t in manual]:
-                    findings.append(finding(
-                        "SV101", name,
-                        "schedule:place %r/%s" % (place.name, opclass),
-                        "dispatch %r disagrees with a fresh search %r"
-                        % (cached_names, [t.name for t in manual]),
-                    ))
-    elif backend == "compiled":
-        _dispatch, _generators, occurrences = _expected_plan(net, engine.schedule)
-        from repro.codegen.runtime import guard_plan
-        from repro.compiled.plan import transition_capacity_shape
-
-        emitted = [t for t in net.transitions if occurrences.get(t.name)]
-        kinds = Counter(guard_plan(t)[0] for t in emitted)
-        shapes = Counter(transition_capacity_shape(t)[0] for t in emitted)
-        expected = {
-            "transitions_compiled": len(emitted),
-            "guard_free_transitions": kinds.get("none", 0),
-            "issue_gated_transitions": kinds.get("issue", 0),
-            "capacity_free_transitions": shapes.get("free", 0),
-            "single_stage_capacity_transitions": shapes.get("single", 0),
-            "places_compiled": len(engine.schedule.order),
-            "dispatch_entries": len(engine.schedule.order) * len(net.operation_classes),
-            "nonempty_dispatch_entries": sum(
-                1
-                for place in engine.schedule.order
-                for opclass in net.operation_classes
-                if engine.schedule.transitions_for(place, opclass)
-            ),
-        }
-        summary = engine.compilation_summary()
-        for key, want in expected.items():
-            if summary.get(key) != want:
+    fresh = [place.name for place in place_evaluation_order(net)]
+    cached = [place.name for place in engine.schedule.order]
+    if cached != fresh:
+        findings.append(finding(
+            "SV101", name, "schedule:order",
+            "cached schedule order %r disagrees with a fresh derivation %r"
+            % (cached, fresh),
+        ))
+    for place in engine.schedule.order:
+        for opclass in net.operation_classes:
+            cached_names = [
+                t.name for t in engine.schedule.transitions_for(place, opclass)
+            ]
+            subnet = net.subnet_for(opclass)
+            manual = sorted(
+                (
+                    t for t in net.transitions
+                    if t.source is place and t.subnet is subnet
+                ),
+                key=lambda t: t.priority,
+            )
+            if cached_names != [t.name for t in manual]:
                 findings.append(finding(
-                    "SV102", name, "plan:%s" % key,
-                    "plan summary says %r, reclassification derives %r"
-                    % (summary.get(key), want),
+                    "SV101", name,
+                    "schedule:place %r/%s" % (place.name, opclass),
+                    "dispatch %r disagrees with a fresh search %r"
+                    % (cached_names, [t.name for t in manual]),
                 ))
-    else:
-        findings.extend(verify_model(name, backend=backend))
     return findings

@@ -43,7 +43,7 @@ class EngineVariant:
     full :class:`~repro.core.engine.EngineOptions` (``None`` means the
     defaults) and ``use_decode_cache`` is the builder-level decode-cache
     knob the Section 4 ablation sweeps.  The plain backend strings
-    (``"interpreted"``/``"compiled"``/``"generated"``/``"batched"``, see
+    (``"interpreted"``/``"generated"``, see
     :data:`~repro.core.engine.ENGINE_BACKENDS`) are accepted anywhere a
     variant is and normalise to a variant of that backend with default
     options.
@@ -66,17 +66,12 @@ class EngineVariant:
 
         The label is deliberately excluded: renaming a variant must not
         invalidate stored results whose simulated behaviour is unchanged.
-        So is ``options.lanes``: the batch width decides how many lockstep
-        lanes share one host dispatch (an execution detail, like
-        ``max_workers``), never the per-lane statistics, and widening a
-        batched campaign must keep yesterday's store fully cached.
         ``options.trace`` is excluded for the same reason: tracing observes
         a run without perturbing its statistics (the trace-equivalence
         suite pins this), so a traced re-run of a stored campaign stays
         fully cached.
         """
         options = asdict(self.options or EngineOptions())
-        options.pop("lanes", None)
         options.pop("trace", None)
         return {
             "options": options,
@@ -349,7 +344,10 @@ class CampaignSpec:
             if isinstance(entry, str):
                 engines.append(entry)
             elif isinstance(entry, dict):
-                options = entry.get("options") or {}
+                options = dict(entry.get("options") or {})
+                # Campaign files written before v1.12 carry the retired
+                # batch width; it never affected results, so drop it.
+                options.pop("lanes", None)
                 if "backend" in entry and "backend" not in options:
                     options = dict(options, backend=entry["backend"])
                 engines.append(

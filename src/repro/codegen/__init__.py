@@ -1,10 +1,11 @@
 """Source-level simulator generation (``EngineOptions(backend="generated")``).
 
-The third engine backend: where :mod:`repro.compiled` partially evaluates
-a model into closures, this package emits the model as real Python
+The fast engine backend: this package emits a model as real Python
 source — a straight-line per-cycle ``step()`` with the dispatch tables,
 capacity literals and issue gating baked into the text — ``exec``s it
 into a module and disk-caches the source under the spec fingerprint.
+The interpreted :class:`~repro.core.engine.SimulationEngine` remains the
+reference it must match bit for bit.
 
 Layout:
 
@@ -17,7 +18,12 @@ Layout:
 from repro.codegen.cache import CODEGEN_CACHE, ModuleCache, codegen_key, default_cache_dir
 from repro.codegen.emit import CODEGEN_SOURCE_VERSION, EmitReport, emit_module_source
 from repro.codegen.engine import GeneratedEngine
-from repro.codegen.runtime import CodegenStructureError, build_runtime, structure_digest
+from repro.codegen.runtime import (
+    CodegenStructureError,
+    build_runtime,
+    structure_digest,
+    transition_capacity_shape,
+)
 
 __all__ = [
     "CODEGEN_CACHE",
@@ -31,4 +37,5 @@ __all__ = [
     "default_cache_dir",
     "emit_module_source",
     "structure_digest",
+    "transition_capacity_shape",
 ]

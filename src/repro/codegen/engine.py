@@ -7,16 +7,14 @@ in-process memo, the on-disk cache or a fresh emission
 (:func:`repro.codegen.runtime.build_runtime`) and keeps the resulting
 ``step(cycle, stats)`` function.  Everything outside the per-cycle hot
 path — run loop, halt/drain detection, flush and emission services — is
-inherited from :class:`~repro.core.engine.SimulationEngine`, the same
-layering as the compiled backend, and the statistics contract is the
-same: bit-identical to both other backends, only wall-clock time may
-differ.
+inherited from :class:`~repro.core.engine.SimulationEngine`, and the
+statistics contract is bit-identity with the interpreted reference: only
+wall-clock time may differ.
 
 The emitted step function is straight-line code over preallocated
-objects, so unlike :class:`repro.compiled.CompiledEngine` no active-place
-worklist is needed: an idle place costs one attribute load and a truth
-test.  Reservation-token pooling is kept (the emitted fire bodies draw
-from ``_reservation_pool``).
+objects, so no active-place worklist is needed: an idle place costs one
+attribute load and a truth test.  Reservation tokens are pooled (the
+emitted fire bodies draw from ``_reservation_pool``).
 
 Inspecting the generated code::
 
@@ -80,16 +78,6 @@ class GeneratedEngine(SimulationEngine):
             runtime = build_runtime(self, module)
         self.module = module
         self.source = module.__source__
-        self._bind_module(module, runtime)
-
-    def _bind_module(self, module, runtime):
-        """Bind the obtained module to this engine's live objects.
-
-        The scalar generated engine keeps the bound per-cycle step
-        function; :class:`repro.batched.LaneEngine` overrides this to keep
-        the runtime dict instead (lanes are stepped by their batch, which
-        binds all lane runtimes at once via ``make_step_batched``).
-        """
         self._step_fn = module.make_step(runtime)
 
     @staticmethod
@@ -113,8 +101,8 @@ class GeneratedEngine(SimulationEngine):
         The emitted body covers two-list commits, the per-place dispatch
         in reverse-topological order, the generator transitions and the
         optional utilisation sampling; the cycle/idle bookkeeping stays
-        here so ``run``'s limit checks see the same state as the other
-        backends.
+        here so ``run``'s limit checks see the same state as the
+        interpreted engine.
         """
         stats = self.stats
         fired = self._step_fn(self.cycle, stats)

@@ -3,8 +3,9 @@
 An emitted module (:mod:`repro.codegen.emit`) is *net-object free*: it
 references places, stages, guards and actions by index into flat lists.
 This module is the other half of that contract — it classifies each
-transition's guard/action the same way the emitter does
-(:func:`gate_plan`), builds the index-aligned runtime lists for one engine
+transition's guard/action (:func:`guard_plan`, :func:`action_plan`) and
+capacity check (:func:`transition_capacity_shape`) the same way the
+emitter does, builds the index-aligned runtime lists for one engine
 (:func:`build_runtime`) and provides the structural digest
 (:func:`structure_digest`) the emitted module embeds so a cached module is
 never bound to a net with a different shape.
@@ -62,6 +63,43 @@ def action_plan(transition):
     if getattr(action, "issue_gate", False) and hasattr(action, "base_action"):
         return ("issue", action.base_action, action.control, action.port)
     return ("plain", action, None, None)
+
+
+def transition_capacity_shape(transition):
+    """Derive one transition's capacity-check shape as name-level data.
+
+    Returns ``("free",)`` (no check needed), ``("single", stage_name)`` (one
+    occupancy comparison) or ``("multi", ((stage_name, count), ...),
+    (capacity_stage_names, ...))`` (the general form).  The emitter renders
+    the shape as literal comparisons, mirroring the interpreted engine's
+    ``_output_capacity_available`` with the token-dependent parts resolved
+    statically; :mod:`repro.analyze.sourcecheck` re-derives it to check the
+    embedded ``EMIT_REPORT``.
+    """
+    token_mode = not transition.is_generator
+    source = transition.source
+    source_stage = source.stage if source is not None else None
+    target = transition.target_place
+    if not transition.reservation_outputs and not transition.capacity_stages:
+        if target is not None and not target.is_end:
+            stage = target.stage
+            if stage.capacity is not None and not (token_mode and stage is source_stage):
+                return ("single", stage.name)
+        return ("free",)
+    needed_map = {}
+    if target is not None and not target.is_end:
+        needed_map[target.stage] = needed_map.get(target.stage, 0) + 1
+    for arc in transition.reservation_outputs:
+        place = arc.place
+        if place is not None and not place.is_end:
+            needed_map[place.stage] = needed_map.get(place.stage, 0) + arc.count
+    # A token leaving its current stage frees one slot when it stays
+    # within the same stage; fold that adjustment into the counts.
+    needed = tuple(
+        (stage.name, count - (1 if (token_mode and stage is source_stage) else 0))
+        for stage, count in needed_map.items()
+    )
+    return ("multi", needed, tuple(stage.name for stage in transition.capacity_stages))
 
 
 def gate_signature(net):

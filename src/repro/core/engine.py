@@ -20,7 +20,7 @@ from repro.observe.trace import TraceConfig, build_tracer
 
 
 #: Valid values of :attr:`EngineOptions.backend`.
-ENGINE_BACKENDS = ("interpreted", "compiled", "generated", "batched")
+ENGINE_BACKENDS = ("interpreted", "generated")
 
 
 @dataclass
@@ -33,22 +33,12 @@ class EngineOptions:
       schedule each cycle, re-checking guards and capacities through the
       generic enable/fire rules.  This is the reference implementation and
       the ablation substrate.
-    * ``"compiled"`` — :class:`repro.compiled.CompiledEngine` partially
-      evaluates the model into flat per-place closures once and runs those
-      (the paper's simulator generation).  Statistics are bit-identical to
-      the interpreted backend; only wall-clock throughput differs.
     * ``"generated"`` — :class:`repro.codegen.GeneratedEngine` emits the
       model as real Python source (a straight-line per-cycle ``step()``
       with dispatch tables and capacity checks inlined as code), ``exec``s
-      it and disk-caches the source under the spec fingerprint.  Same
-      bit-identical statistics contract as the compiled backend.
-    * ``"batched"`` — :class:`repro.batched.LaneEngine` runs the same
-      emitted source, but the emitter wraps the straight-line step body in
-      a *lane loop* (``make_step_batched``), so up to ``lanes``
-      same-fingerprint simulations advance in lockstep per host dispatch.
-      Each lane keeps private places/statistics/workload; lanes that halt
-      early are masked out until the batch drains.  Statistics stay
-      bit-identical per lane; only host throughput changes.
+      it and disk-caches the source under the spec fingerprint (the
+      paper's simulator generation).  Statistics are bit-identical to the
+      interpreted backend; only wall-clock throughput differs.
 
     Which knobs apply to which backend:
 
@@ -58,10 +48,10 @@ class EngineOptions:
       loop).
     * ``use_sorted_transitions`` — interpreted only.  It exists so the
       ablation benchmark can price the sorted-dispatch optimisation; the
-      compiled and generated backends always bake the sorted dispatch
-      tables into their closures/source at generation time, so the knob
-      has no run-time effect there (it still participates in the codegen
-      cache key, since it shapes the shared schedule).
+      generated backend always bakes the sorted dispatch tables into its
+      source at generation time, so the knob has no run-time effect there
+      (it still participates in the codegen cache key, since it shapes the
+      shared schedule).
 
     ``use_sorted_transitions`` and ``two_list_everywhere`` switch the two
     paper optimisations off/on (Section 4); ``collect_utilization`` samples
@@ -69,22 +59,14 @@ class EngineOptions:
     ``stall_limit`` aborts runs in which nothing fires for that many
     consecutive cycles (a modeling bug, reported as a deadlock).
 
-    ``lanes`` applies to the batched backend only: the maximum number of
-    same-fingerprint simulations one batch steps in lockstep (campaign
-    runners chunk larger groups into batches of at most ``lanes``).  It is
-    a host-scheduling knob, not a simulation parameter — it participates in
-    the codegen cache key (the emitted lane loop depends on it) but is
-    deliberately excluded from campaign run fingerprints, so re-running a
-    stored campaign at a different batch width stays 100% cached.
-
     ``trace`` attaches a cycle-level event tracer
     (:class:`repro.observe.trace.TraceConfig`, or an equivalent dict from a
     JSON round-trip; ``None`` means no tracing).  Tracing observes but never
     perturbs a run: statistics stay bit-identical with tracing on or off,
-    on every backend.  Like ``lanes``, the trace config is a host-side
-    observation knob, excluded from campaign run fingerprints; it enters
-    the codegen cache key only when an emission-relevant category is
-    enabled (see :func:`repro.codegen.cache.emit_trace_categories`).
+    on every backend.  The trace config is a host-side observation knob,
+    excluded from campaign run fingerprints; it enters the codegen cache
+    key only when an emission-relevant category is enabled (see
+    :func:`repro.codegen.cache.emit_trace_categories`).
     """
 
     max_cycles: int = 10_000_000
@@ -93,7 +75,6 @@ class EngineOptions:
     collect_utilization: bool = False
     stall_limit: int = 100_000
     backend: str = "interpreted"
-    lanes: int = 8
     trace: object = None
 
     def __post_init__(self):
@@ -164,11 +145,12 @@ class SimulationEngine:
     """Cycle-accurate simulator executing one RCPN model (interpreted backend).
 
     This engine evaluates the generic enable/fire rules against the static
-    schedule every cycle.  The compiled backend
-    (:class:`repro.compiled.CompiledEngine`) subclasses it, overriding only
-    the per-cycle hot path (``step`` and the deposit/flush internals); the
-    run loop, halt/drain logic and the :class:`EngineContext` services are
-    shared, which is what keeps the two backends drop-in interchangeable.
+    schedule every cycle.  The generated backend
+    (:class:`repro.codegen.GeneratedEngine`) subclasses it, overriding only
+    the per-cycle hot path (``step`` and the reservation recycling hook);
+    the run loop, halt/drain logic and the :class:`EngineContext` services
+    are shared, which is what keeps the two backends drop-in
+    interchangeable.
     Anything observable — every counter of
     :class:`~repro.core.statistics.SimulationStatistics` — must be identical
     between backends; the differential tests enforce this.
@@ -241,7 +223,7 @@ class SimulationEngine:
         """Hook for reclaiming a flushed reservation token.
 
         The interpreted engine lets the garbage collector take it; the
-        compiled engine overrides this to return the token to its free
+        generated engine overrides this to return the token to its free
         list.  Keeping the flush logic itself in one place protects the
         backends' bit-identical-statistics contract.
         """

@@ -181,10 +181,10 @@ class ArmSemantics:
         :meth:`~repro.describe.substrate.IssueControl.may_issue` and the
         action books the slot via ``note_issue`` before the original
         behaviour runs.  The wrapped guard carries an ``issue_gate`` marker
-        so the compiled planner can report how many transitions were gated,
-        plus the unwrapped parts (``base_guard``/``base_action``, the
-        arbiter and the port) so the source-emitting backend
-        (:mod:`repro.codegen`) can specialise the gate away at emit time —
+        so the emitter can report how many transitions were gated, plus the
+        unwrapped parts (``base_guard``/``base_action``, the arbiter and
+        the port) so the source-emitting backend (:mod:`repro.codegen`)
+        can specialise the gate away at emit time —
         calling the arbiter and the original hook directly instead of
         through this wrapper.
         """

@@ -11,8 +11,8 @@ turns the spec into an executable RCPN.
 Because a spec is plain data it can be validated before elaboration
 (:meth:`PipelineSpec.validate`) and hashed into a stable
 :meth:`PipelineSpec.fingerprint` that keys the simulator-generation caches
-(:mod:`repro.core.scheduler`, :mod:`repro.compiled.plan`): rebuilding the
-same spec reuses the static analysis of the first build.
+(:mod:`repro.core.scheduler`, :mod:`repro.codegen.cache`): rebuilding the
+same spec reuses the static analysis and emitted source of the first build.
 """
 
 from __future__ import annotations
@@ -637,7 +637,7 @@ class PipelineSpec:
 
         Two specs share a fingerprint exactly when their declarative content
         is identical, so the hash can key caches of structure-derived
-        artefacts (static schedules, compiled-plan blueprints) across
+        artefacts (static schedules, emitted simulator modules) across
         repeated elaborations of the same model.
         """
         canonical = json.dumps(self.describe(), sort_keys=True, default=str)

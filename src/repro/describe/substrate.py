@@ -107,7 +107,7 @@ class IssueControl:
       :meth:`note_fetch`, and squashed tokens fall out of the queue lazily.
 
     All state is cycle-stamped and refreshed lazily from ``ctx.cycle``, so
-    the interpreted and compiled engines (which share guards and actions)
+    the interpreted and generated engines (which share guards and actions)
     observe identical arbitration — the bit-identical-statistics contract
     between backends holds with no engine-specific code.
     """
@@ -565,9 +565,8 @@ def resolve_engine_options(engine_options, backend=None):
     """Merge a builder's ``engine_options`` and ``backend`` arguments.
 
     Every model builder accepts both an :class:`EngineOptions` object and a
-    ``backend`` shortcut string (``"interpreted"`` / ``"compiled"`` /
-    ``"generated"``); the shortcut, when given, overrides the backend
-    recorded in the options.
+    ``backend`` shortcut string (``"interpreted"`` / ``"generated"``); the
+    shortcut, when given, overrides the backend recorded in the options.
     The caller's options object is never mutated.
     """
     options = engine_options or EngineOptions()
@@ -598,7 +597,7 @@ class Processor:
 
     @property
     def backend(self):
-        """Execution strategy of the engine ("interpreted"/"compiled"/"generated")."""
+        """Execution strategy of the engine ("interpreted"/"generated")."""
         return self.engine.backend
 
     @property
@@ -625,8 +624,8 @@ class Processor:
         """Reset every piece of dynamic state for a bit-reproducible re-run.
 
         Engine state, cache contents/statistics and learned predictor/BTB
-        state are cleared; the generated engine (including the compiled
-        plan, when the compiled backend is selected) is kept.  Call
+        state are cleared; the generated engine (including the emitted step
+        function, when the generated backend is selected) is kept.  Call
         :meth:`load_program` afterwards to restore the program image and
         the fetch PC.  The memory system gets a *full* reset — cold tags,
         not just zeroed counters — so a reused processor never starts its

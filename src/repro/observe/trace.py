@@ -12,8 +12,8 @@ Design constraints (they shape everything here):
   counter on any backend; the engines only *observe* through the tracer,
   never consult it.  The equivalence suite
   (``tests/integration/test_trace_equivalence.py``) pins traced runs
-  bit-identical to untraced ones on all four backends.
-* **Zero cost when off.**  The interpreted/compiled engines hold
+  bit-identical to untraced ones on both backends.
+* **Zero cost when off.**  The engines hold
   per-category bound methods that are ``None`` when tracing is off, and
   the codegen emitter only writes trace call sites into the source when a
   category is enabled — the tracing-off emitted module is byte-identical
@@ -162,9 +162,7 @@ class Tracer:
 
     def cache(self, level, kind, address, latency):
         # Cache accesses happen inside transition actions; ``engine.cycle``
-        # is the in-flight cycle on every backend (the batched lane loop
-        # updates it per cycle precisely so mid-cycle readers like this
-        # stay correct).
+        # is the in-flight cycle on every backend.
         cycle = self._engine.cycle if self._engine is not None else 0
         self._record(("cache", cycle, level, kind, address, latency))
 

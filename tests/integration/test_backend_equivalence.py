@@ -1,6 +1,6 @@
-"""Backend equivalence matrix: interpreted / compiled / generated / batched.
+"""Backend equivalence matrix: interpreted / generated.
 
-Every engine backend is contractually bit-identical in every statistic
+Both engine backends are contractually bit-identical in every statistic
 the simulator exposes.  This matrix enforces the contract for **every
 model in the processor registry** across every workload the model
 supports, comparing
@@ -11,12 +11,11 @@ supports, comparing
 * the memory-system counters (per-level accesses/hits/misses **and**
   ``miss_cycles``, which the cache-model bugfix sweep of PR 5 pinned).
 
-It replaces the pairwise interpreted-vs-compiled sweep that lived in
-``test_compiled_differential.py``: one parametrized run per (model,
-kernel) pair now covers all three backends at once.  Backend-specific
-*reset* semantics stay in their per-backend files; the generated
-backend's reset-reuse regression lives here because it is the
-equivalence contract applied to a second run of the same engine.
+One parametrized run per (model, kernel) pair covers both backends at
+once.  Backend-specific *reset* semantics stay in
+``tests/unit/test_generated_engine.py``; the generated backend's
+reset-reuse regression lives here because it is the equivalence contract
+applied to a second run of the same engine.
 """
 
 import pytest
@@ -61,7 +60,7 @@ def observable_state(processor, stats):
 
 def test_backend_matrix_covers_all_registered_backends():
     """The matrix below must not silently fall behind the engine registry."""
-    assert set(ENGINE_BACKENDS) == {"interpreted", "compiled", "generated", "batched"}
+    assert set(ENGINE_BACKENDS) == {"interpreted", "generated"}
 
 
 @pytest.mark.parametrize("model,kernel", MODEL_KERNEL_PAIRS)

@@ -81,13 +81,13 @@ def test_l2_pays_off_end_to_end_on_blowfish():
 @pytest.mark.parametrize("model", ["strongarm-l2", "xscale-l2", "strongarm-c512"])
 def test_cache_counters_are_identical_across_backends(model):
     per_backend = {}
-    for backend in ("interpreted", "compiled"):
+    for backend in ("interpreted", "generated"):
         processor, stats = run(model, "blowfish", backend=backend)
         per_backend[backend] = (stats.cycles, processor.memory.statistics_summary())
-    assert per_backend["compiled"] == per_backend["interpreted"]
+    assert per_backend["generated"] == per_backend["interpreted"]
 
 
-@pytest.mark.parametrize("backend", ["interpreted", "compiled"])
+@pytest.mark.parametrize("backend", ["interpreted", "generated"])
 def test_small_cache_model_reset_reuse_is_bit_identical(backend):
     """The cache-sensitive companion of the engine reset-reuse test.
 

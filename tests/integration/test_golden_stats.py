@@ -14,8 +14,8 @@ it still agrees with the interpreter of the same build.
 
 import pytest
 
-from repro.processors import build_processor
-from repro.workloads import get_workload
+from repro.processors import build_processor, processor_names, supported_kernels
+from repro.workloads import get_workload, workload_names
 
 #: (model, kernel) -> (cycles, instructions, stalls, final r0); captured at
 #: scale=1 from the seed models (PR 1 tree) on the interpreted backend.
@@ -84,10 +84,34 @@ GOLDEN = {
     ("strongarm-c8k", "crc"): (7403, 4479, 3106, 4223799965),
     ("strongarm-c8k", "g721"): (10012, 6107, 4738, 3462125290),
     ("strongarm-c8k", "go"): (24059, 13592, 13399, 1286),
+    # Pipeline-depth variants: captured at repro 1.11.0 on the interpreted
+    # backend (the generated backend agreed on every row).
+    ("arm7-mini", "adpcm"): (9985, 8072, 1509, 2282867342),
+    ("arm7-mini", "blowfish"): (10896, 6776, 4260, 1638522846),
+    ("arm7-mini", "compress"): (7587, 4760, 2228, 58384),
+    ("arm7-mini", "crc"): (6615, 4479, 1313, 4223799965),
+    ("arm7-mini", "g721"): (9878, 6107, 3424, 3462125290),
+    ("arm7-mini", "go"): (22545, 13592, 7585, 1286),
+    ("xscale-deep", "adpcm"): (13679, 8072, 19960, 2282867342),
+    ("xscale-deep", "blowfish"): (14043, 6776, 24460, 1638522846),
+    ("xscale-deep", "compress"): (9509, 4760, 14658, 58384),
+    ("xscale-deep", "crc"): (9175, 4479, 14763, 4223799965),
+    ("xscale-deep", "g721"): (11419, 6107, 13866, 3462125290),
+    ("xscale-deep", "go"): (30375, 13592, 50734, 1286),
 }
 
 
-@pytest.mark.parametrize("backend", ["interpreted", "generated", "batched"])
+def test_golden_table_covers_every_registered_model_and_kernel():
+    """The golden rows must not silently fall behind the processor registry."""
+    expected = {
+        (model, kernel)
+        for model in processor_names()
+        for kernel in supported_kernels(model, workload_names())
+    }
+    assert set(GOLDEN) == expected
+
+
+@pytest.mark.parametrize("backend", ["interpreted", "generated"])
 @pytest.mark.parametrize("model,kernel", sorted(GOLDEN))
 def test_golden_statistics_are_unchanged(model, kernel, backend):
     expected_cycles, expected_instructions, expected_stalls, expected_r0 = GOLDEN[

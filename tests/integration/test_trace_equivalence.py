@@ -4,14 +4,14 @@ The observability contract has two halves, and this suite pins both:
 
 * **Zero perturbation.**  A traced run produces bit-identical statistics,
   architectural state and memory counters to an untraced run of the same
-  (model, workload) on the same backend — for all four backends, on a
-  plain model and on an L2 model (so the cache category exercises a
-  two-level hierarchy).
+  (model, workload) on the same backend — for both backends, on every
+  registered model (single- and dual-issue, shallow and deep pipelines,
+  one- and two-level memory hierarchies).
 * **Trace-content golden.**  The event stream is not merely harmless, it
   is *correct*: per-category event counts equal the statistics counters
   the engines already maintain (firings per transition, stalls, squashes,
   generated tokens, per-level cache traffic), and — after normalising the
-  process-global token sequence numbers — all four backends emit the same
+  process-global token sequence numbers — both backends emit the same
   firing/stall/squash/token event stream.
 """
 
@@ -19,10 +19,10 @@ import pytest
 
 from repro.core.engine import ENGINE_BACKENDS, EngineOptions
 from repro.observe.trace import TraceConfig
-from repro.processors import build_processor
+from repro.processors import build_processor, processor_names
 from repro.workloads import get_workload
 
-MODELS = ("strongarm", "strongarm-l2")
+MODELS = processor_names()
 KERNEL = "crc"
 MAX_CYCLES = 4_000
 #: Large enough that the ring never evicts (the golden counts need the

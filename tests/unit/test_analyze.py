@@ -385,15 +385,13 @@ VERIFY_MODELS = tuple(processor_names())
 
 
 @pytest.mark.parametrize("model", VERIFY_MODELS)
-@pytest.mark.parametrize("backend", ("generated", "batched"))
-def test_emitted_source_verifies_clean(model, backend):
-    assert verify_model(model, backend=backend) == []
+def test_emitted_source_verifies_clean(model):
+    assert verify_model(model) == []
 
 
-@pytest.mark.parametrize("backend", ("generated", "batched"))
-def test_traced_emission_verifies_clean(backend):
-    assert verify_model("example", backend=backend, trace=True) == []
-    assert verify_model("strongarm", backend=backend, trace=True) == []
+@pytest.mark.parametrize("model", VERIFY_MODELS)
+def test_traced_emission_verifies_clean(model):
+    assert verify_model(model, trace=True) == []
 
 
 def _engine(model="example", backend="generated", trace=False):
@@ -489,22 +487,12 @@ def test_sv007_emit_report_tamper_detected():
     assert "SV007" in rules_of(findings)
 
 
-def test_sv008_batched_mode_tamper_detected():
-    engine = _engine(backend="batched")
-    source = engine.source.replace(
-        "EMISSION_MODE = 'batched'", "EMISSION_MODE = 'scalar'"
-    )
-    assert source != engine.source
-    findings = verify_engine(_tampered(engine, source))
-    assert "SV008" in rules_of(findings)
-
-
 # ---------------------------------------------------------------------------
 # Backend coherence (SV1xx)
 # ---------------------------------------------------------------------------
 
 
-@pytest.mark.parametrize("backend", ("interpreted", "compiled"))
+@pytest.mark.parametrize("backend", ("interpreted", "generated"))
 def test_backend_coherence_clean(backend):
     assert verify_backend("example", backend) == []
     assert verify_backend("xscale", backend) == []
@@ -521,22 +509,6 @@ def test_sv101_schedule_divergence_detected(monkeypatch):
     monkeypatch.setattr(scheduler, "place_evaluation_order", reversed_order)
     findings = verify_backend("example", "interpreted")
     assert "SV101" in rules_of(findings)
-
-
-def test_sv102_plan_summary_divergence_detected(monkeypatch):
-    from repro.compiled.engine import CompiledEngine
-
-    original = CompiledEngine.compilation_summary
-
-    def tampered(self):
-        summary = dict(original(self))
-        summary["transitions_compiled"] = 0
-        return summary
-
-    monkeypatch.setattr(CompiledEngine, "compilation_summary", tampered)
-    findings = verify_backend("example", "compiled")
-    assert "SV102" in rules_of(findings)
-    assert any("transitions_compiled" in f.location for f in findings)
 
 
 # ---------------------------------------------------------------------------
@@ -572,12 +544,12 @@ def test_cli_lint_json_document():
 def test_cli_verify_subset():
     out = io.StringIO()
     code = analyze_main(
-        ["verify", "example", "--backends", "interpreted,compiled", "--format", "json"],
+        ["verify", "example", "--backends", "interpreted,generated", "--format", "json"],
         out=out,
     )
     assert code == 0
     document = json.loads(out.getvalue())
-    assert document["backends"] == ["interpreted", "compiled"]
+    assert document["backends"] == ["interpreted", "generated"]
     assert document["dirty"] == []
 
 
@@ -610,6 +582,13 @@ def test_cli_rules_catalogue():
     text = out.getvalue()
     for rule_id in RULES:
         assert rule_id in text
+
+
+def test_retired_rule_ids_stay_retired():
+    # SV008 (batched module shape) and SV102 (compiled plan summary) went
+    # with their backends; the surviving ids keep their numbers.
+    assert "SV008" not in RULES and "SV102" not in RULES
+    assert {"SV001", "SV007", "SV101"} <= set(RULES)
 
 
 def test_cli_unknown_model_is_an_error():

@@ -26,7 +26,6 @@ from repro.campaign import (
     run_campaign,
     speedup_table,
     summarize,
-    throughput_table,
     to_csv,
     to_json,
 )
@@ -47,7 +46,7 @@ class TestCampaignSpec:
             name="ok",
             processors=("strongarm",),
             workloads=("crc",),
-            engines=("interpreted", "compiled"),
+            engines=("interpreted", "generated"),
         )
         assert spec.validate()
 
@@ -64,7 +63,7 @@ class TestCampaignSpec:
                     name="x",
                     engines=(
                         EngineVariant("same", EngineOptions()),
-                        EngineVariant("same", EngineOptions(backend="compiled")),
+                        EngineVariant("same", EngineOptions(backend="generated")),
                     ),
                 ),
                 "duplicate engine-variant labels",
@@ -131,7 +130,7 @@ class TestPlanner:
             processors=("strongarm", "arm7-mini"),
             workloads=("crc", "compress"),
             scales=(1, 2),
-            engines=("interpreted", "compiled"),
+            engines=("interpreted", "generated"),
             repeats=2,
         )
         assert plan_campaign(spec).run_ids() == plan_campaign(spec).run_ids()
@@ -139,7 +138,7 @@ class TestPlanner:
         assert len(plan_campaign(spec).runs) == 2 * 2 * 2 * 2 * 2
 
     def test_explicit_runs_are_appended(self):
-        extra = RunSpec(processor="xscale", workload="go", scale=3, engine="compiled")
+        extra = RunSpec(processor="xscale", workload="go", scale=3, engine="generated")
         spec = CampaignSpec(
             name="explicit", processors=("strongarm",), workloads=("crc",), runs=(extra,)
         )
@@ -167,9 +166,9 @@ class TestPlanner:
 
 class TestFingerprints:
     def test_fingerprint_is_stable(self):
-        run = RunSpec(processor="strongarm", workload="crc", scale=2, engine="compiled")
+        run = RunSpec(processor="strongarm", workload="crc", scale=2, engine="generated")
         assert run.fingerprint() == run.fingerprint()
-        clone = RunSpec(processor="strongarm", workload="crc", scale=2, engine="compiled")
+        clone = RunSpec(processor="strongarm", workload="crc", scale=2, engine="generated")
         assert clone.fingerprint() == run.fingerprint()
 
     @pytest.mark.parametrize(
@@ -177,7 +176,7 @@ class TestFingerprints:
         [
             dict(workload="compress"),
             dict(scale=2),
-            dict(engine="compiled"),
+            dict(engine="generated"),
             dict(max_cycles=1000),
             dict(max_instructions=1000),
             dict(repeat=1),
@@ -221,22 +220,58 @@ class TestFingerprints:
         )
         assert inline.fingerprint() == named.fingerprint()
 
-    def test_batch_width_does_not_change_the_fingerprint(self):
-        """``lanes`` is an execution detail: widening a batched campaign
-        must keep every stored result cached."""
-        narrow = RunSpec(
-            processor="strongarm",
-            workload="crc",
-            engine=EngineVariant("batched", EngineOptions(backend="batched", lanes=2)),
-        )
-        wide = RunSpec(
-            processor="strongarm",
-            workload="crc",
-            engine=EngineVariant("batched", EngineOptions(backend="batched", lanes=16)),
-        )
-        assert narrow.fingerprint() == wide.fingerprint()
-        scalar = RunSpec(processor="strongarm", workload="crc", engine="generated")
-        assert narrow.fingerprint() != scalar.fingerprint()
+    @pytest.mark.parametrize(
+        "run,expected",
+        [
+            (
+                RunSpec(processor="strongarm", workload="crc", engine="interpreted"),
+                "c9eb9a53bbdb3944e154fc7e72dcc44e9797b7ad84fb3697858daea8d963a51c",
+            ),
+            (
+                RunSpec(processor="strongarm", workload="crc", engine="generated"),
+                "3e2116af18ea89c75064b2bfd0a35c9b10acfc2614f1a9e7d7534029cccd0128",
+            ),
+        ],
+        ids=["interpreted", "generated"],
+    )
+    def test_fingerprints_are_pinned(self, run, expected, monkeypatch):
+        """Store compatibility: the identity of a run must not drift.
+
+        The literals were computed under repro 1.11.0, whose engine options
+        still carried the (fingerprint-excluded) batch width.  The version
+        is part of every fingerprint, so it is pinned here; everything
+        else — engine options, workload digest, spec fingerprint — must
+        hash exactly as it did then.
+        """
+        import repro
+
+        monkeypatch.setattr(repro, "__version__", "1.11.0")
+        assert run.fingerprint() == expected
+
+    #: Generated-backend crc fingerprints of the other registered models,
+    #: computed under repro 1.11.0 like the strongarm pair above.
+    MODEL_PINS = {
+        "example": "250175b3c7a1cc1e718710b11587bdb9b436e48c44ab3bb0b3755cc0ff3e72ee",
+        "xscale": "390e8c6948b122a43c3a6f0b26213b145d690673379fed03311fb038952f7e98",
+        "arm7-mini": "042dd03c477dae6c533b26d798d06f84bc270786b38d604aac08eb2323cf71ef",
+        "xscale-deep": "b5caaa72a37e198dbe687a51706b77646602eb7f05eac0f347d4550f1d41597e",
+        "strongarm-ds": "4c3f17c05e3abcc71e127869375ee41eae1cc46b52413c64aefd66851095df1c",
+        "xscale-ds": "f1a70749c92d7523644bc0ab1980789ae80f9b5244a86b31a091f946590feeaa",
+        "strongarm-l2": "11420dd855f08360ef9ab745c37669b2670b4c616a87f58edd6108415d470ed8",
+        "xscale-l2": "4d35a8b11f35714bc8a1b10f6fce0f6ba3d1a959b5323c1e925e0d7c952f5d3e",
+        "strongarm-c512": "34862817146b4ca16ee20dd6d9fa35606616548d07cfb31c187966eba200f54e",
+        "strongarm-c2k": "20f32f9faf709e1650357b11844dbde21184d06c61442d79b47825ac3833131f",
+        "strongarm-c8k": "c225057ab8d8bd3f9cdbe707e033b68a6c8d9e22539fa90dd1883c0f90daa594",
+    }
+
+    @pytest.mark.parametrize("model", sorted(MODEL_PINS))
+    def test_every_model_fingerprint_is_pinned(self, model, monkeypatch):
+        """Each model's spec fingerprint feeds its runs' identity; none may drift."""
+        import repro
+
+        monkeypatch.setattr(repro, "__version__", "1.11.0")
+        run = RunSpec(processor=model, workload="crc", engine="generated")
+        assert run.fingerprint() == self.MODEL_PINS[model]
 
 
 # ---------------------------------------------------------------------------
@@ -415,90 +450,6 @@ class TestRunner:
         assert report.results[0].finish_reason != "halt"
 
 
-class TestBatchedCampaigns:
-    GRID = dict(processors=("arm7-mini",), workloads=("crc", "compress"), scales=(1,))
-
-    def test_batched_rows_match_scalar_generated_rows(self):
-        spec = CampaignSpec(name="b", engines=("generated", "batched"), **self.GRID)
-        report = run_campaign(spec, store=None, max_workers=1)
-        rows = {
-            (result.workload, result.engine): result for result in report.results
-        }
-        for workload in self.GRID["workloads"]:
-            generated = rows[(workload, "generated")]
-            batched = rows[(workload, "batched")]
-            assert batched.cycles == generated.cycles
-            assert batched.instructions == generated.instructions
-            assert batched.final_r0 == generated.final_r0
-            assert batched.memory == generated.memory
-            assert batched.stats["retired_by_class"] == (
-                generated.stats["retired_by_class"]
-            )
-
-    def test_same_module_runs_share_one_lane_batch(self, monkeypatch):
-        """Pending batched runs of one model execute as a single batch."""
-        from repro.campaign import runner as runner_module
-
-        batches = []
-        original = runner_module.execute_batch
-
-        def spy(runs, campaign=""):
-            batches.append([run.run_id for run in runs])
-            return original(runs, campaign=campaign)
-
-        monkeypatch.setattr(runner_module, "execute_batch", spy)
-        spec = CampaignSpec(name="b", engines=("batched",), **self.GRID)
-        report = run_campaign(spec, store=None, max_workers=1)
-        assert report.executed == 2
-        assert len(batches) == 1 and len(batches[0]) == 2
-
-    def test_batch_width_chunks_oversized_groups(self, monkeypatch):
-        from repro.campaign import runner as runner_module
-
-        batches = []
-        original = runner_module.execute_batch
-
-        def spy(runs, campaign=""):
-            batches.append(len(runs))
-            return original(runs, campaign=campaign)
-
-        monkeypatch.setattr(runner_module, "execute_batch", spy)
-        narrow = EngineVariant("batched", EngineOptions(backend="batched", lanes=1))
-        spec = CampaignSpec(name="b", engines=(narrow,), **self.GRID)
-        run_campaign(spec, store=None, max_workers=1)
-        assert batches == [1, 1]
-
-    def test_widening_a_batched_campaign_stays_fully_cached(self, tmp_path):
-        narrow = EngineVariant("batched", EngineOptions(backend="batched", lanes=1))
-        cold = run_campaign(
-            CampaignSpec(name="b", engines=(narrow,), **self.GRID),
-            store=tmp_path / "store",
-            max_workers=1,
-        )
-        assert cold.executed == 2 and cold.cached == 0
-        wide = EngineVariant("batched", EngineOptions(backend="batched", lanes=8))
-        warm = run_campaign(
-            CampaignSpec(name="b", engines=(wide,), **self.GRID),
-            store=tmp_path / "store",
-            max_workers=1,
-        )
-        assert warm.executed == 0 and warm.cached == 2
-
-    def test_batched_runs_respect_campaign_budgets(self):
-        spec = CampaignSpec(
-            name="b",
-            engines=("batched",),
-            processors=("arm7-mini",),
-            workloads=("crc", "compress"),
-            max_cycles=50,  # far below the halt point: finish_reason max_cycles
-        )
-        report = run_campaign(spec, store=None, max_workers=1)
-        assert [result.finish_reason for result in report.results] == [
-            "max_cycles",
-            "max_cycles",
-        ]
-
-
 # ---------------------------------------------------------------------------
 # Aggregation
 # ---------------------------------------------------------------------------
@@ -517,9 +468,9 @@ class TestAggregation:
                 fingerprint="b" * 64,
                 cycles=100,
                 wall_seconds=0.25,
-                engine="compiled",
-                backend="compiled",
-                run_id="strongarm/crc@1/compiled",
+                engine="generated",
+                backend="generated",
+                run_id="strongarm/crc@1/generated",
             ),
         ]
 
@@ -571,45 +522,9 @@ class TestAggregation:
         with pytest.raises(ValueError, match="disagree on simulated cycles"):
             speedup_table(results)
 
-    def _throughput_results(self):
-        return [
-            _result(
-                fingerprint="a" * 64,
-                cycles=100,
-                wall_seconds=1.0,
-                engine="generated",
-                backend="generated",
-                run_id="strongarm/crc@1/generated",
-            ),
-            _result(
-                fingerprint="b" * 64,
-                cycles=100,
-                wall_seconds=0.5,
-                engine="batched",
-                backend="batched",
-                run_id="strongarm/crc@1/batched",
-            ),
-        ]
-
-    def test_throughput_table_computes_rows_per_host_second(self):
-        rows = throughput_table(self._throughput_results())
-        assert len(rows) == 1
-        assert rows[0]["generated_rows_per_sec"] == pytest.approx(1.0)
-        assert rows[0]["batched_rows_per_sec"] == pytest.approx(2.0)
-        assert rows[0]["throughput_ratio"] == pytest.approx(2.0)
-
-    def test_throughput_table_rejects_cycle_disagreement(self):
-        results = self._throughput_results()
-        results[1].cycles = 999
-        with pytest.raises(ValueError, match="disagree on simulated cycles"):
-            throughput_table(results)
-
-    def test_throughput_table_skips_cells_missing_either_variant(self):
-        assert throughput_table(self._throughput_results()[:1]) == []
-
     def test_cpi_table_shape(self):
         rows = cpi_table(self._results())
-        assert {row["engine"] for row in rows} == {"interpreted", "compiled"}
+        assert {row["engine"] for row in rows} == {"interpreted", "generated"}
         assert all(row["cpi"] == pytest.approx(2.0) for row in rows)
 
     def test_csv_and_json_export(self, tmp_path):
@@ -777,32 +692,73 @@ class TestCli:
                 "run",
                 "--processors", "strongarm",
                 "--workloads", "crc",
-                "--engines", "batchd",
+                "--engines", "generatd",
                 "--store", str(tmp_path / "store"),
             ],
             out,
         )
         assert code == 1
         message = out.getvalue()
-        assert "unknown engine backend 'batchd'" in message
-        assert "did you mean 'batched'" in message
+        assert "unknown engine backend 'generatd'" in message
+        assert "did you mean 'generated'" in message
         assert "Traceback" not in message
 
-    def test_engines_flag_accepts_batched(self, tmp_path):
+    @pytest.mark.parametrize("retired", ["compiled", "batched"])
+    def test_retired_backends_fail_listing_the_remaining_ones(self, tmp_path, retired):
+        with pytest.raises(CampaignError, match="expected one of interpreted, generated"):
+            CampaignSpec(name="old", engines=(retired,)).validate()
         out = io.StringIO()
         code = cli_main(
             [
                 "run",
                 "--processors", "arm7-mini",
                 "--workloads", "crc",
-                "--engines", "batched",
+                "--engines", retired,
                 "--store", str(tmp_path / "store"),
-                "--max-workers", "1",
             ],
             out,
         )
-        assert code == 0
-        assert "arm7-mini" in out.getvalue()
+        assert code == 1
+        message = out.getvalue()
+        assert "unknown engine backend %r" % retired in message
+        assert "interpreted, generated" in message
+        assert "Traceback" not in message
+
+    def test_report_renders_a_store_with_legacy_backend_rows(self, tmp_path):
+        """Stores written before v1.12 hold compiled/batched rows; the
+        report must still render them (as plain engine rows)."""
+        store = ResultStore(tmp_path / "store")
+        for index, backend in enumerate(("interpreted", "compiled", "batched", "generated")):
+            store.append(
+                _result(
+                    fingerprint=str(index) * 64,
+                    wall_seconds=0.5 + index,
+                    engine=backend,
+                    backend=backend,
+                    run_id="strongarm/crc@1/%s" % backend,
+                    memory={
+                        "icache": {"miss_rate": 0.1},
+                        "dcache": {"miss_rate": 0.2, "misses": 3, "miss_cycles": 30},
+                    },
+                )
+            )
+        out = io.StringIO()
+        assert cli_main(["report", "--store", str(tmp_path / "store")], out) == 0
+        text = out.getvalue()
+        for backend in ("compiled", "batched"):
+            assert backend in text
+        assert "speedup (generated over interpreted)" in text
+
+    def test_spec_file_with_a_legacy_batch_width_still_loads(self, tmp_path):
+        data = CampaignSpec(
+            name="legacy", processors=("arm7-mini",), workloads=("crc",),
+            engines=("generated",),
+        ).to_dict()
+        data["engines"][0]["options"]["lanes"] = 8  # written by repro <= 1.11
+        rebuilt = CampaignSpec.from_dict(data)
+        assert plan_campaign(rebuilt).fingerprints == plan_campaign(
+            CampaignSpec.from_dict(dict(data, engines=["generated"]))
+        ).fingerprints
 
     def test_non_integer_scales_fail_cleanly(self, tmp_path):
         out = io.StringIO()

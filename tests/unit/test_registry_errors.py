@@ -1,8 +1,4 @@
-"""Registry ergonomics: did-you-mean suggestions and the deprecated shim."""
-
-import importlib
-import sys
-import warnings
+"""Registry ergonomics: did-you-mean suggestions for unknown names."""
 
 import pytest
 
@@ -48,31 +44,3 @@ class TestUnknownNameSuggestions:
             plan_campaign(
                 CampaignSpec(name="typo", processors=("xsale",), workloads=("crc",))
             )
-
-
-class TestDeprecatedCommonShim:
-    def test_import_warns_and_reexports(self):
-        sys.modules.pop("repro.processors.common", None)
-        with warnings.catch_warnings(record=True) as caught:
-            warnings.simplefilter("always")
-            import repro.processors.common as common
-        deprecations = [
-            entry for entry in caught if issubclass(entry.category, DeprecationWarning)
-        ]
-        assert deprecations, "importing the shim must emit a DeprecationWarning"
-        assert "repro.describe.substrate" in str(deprecations[0].message)
-
-        # The shim stays a faithful re-export of the substrate module.
-        substrate = importlib.import_module("repro.describe.substrate")
-        assert common.__all__
-        for name in common.__all__:
-            assert getattr(common, name) is getattr(substrate, name)
-
-    def test_reload_warns_again(self):
-        sys.modules.pop("repro.processors.common", None)
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore", DeprecationWarning)
-            import repro.processors.common as common
-
-        with pytest.warns(DeprecationWarning, match="deprecated shim"):
-            importlib.reload(common)
