@@ -18,6 +18,14 @@ corresponding effectful interfaces (``read``, ``read(state)``,
 ``reserve_write``, ``writeback``) in transitions.  :class:`Const` provides
 the same interface for immediate operands so operation-class code handles
 registers and constants uniformly.
+
+A bypass network that forwards from a *set* of pipeline states composes
+those interfaces the same way for every operand: ``can_read()``, else for
+each forward state ``can_read(state)`` and the writer's ``has_value``, and
+the matching ``read()``/``read(state)``.  :meth:`RegRef.ready` and
+:meth:`RegRef.latch` are that composition fused into one call each; a
+forward state matches when it names the place the writer's instruction
+resides in or that place's pipeline stage.
 """
 
 from __future__ import annotations
@@ -32,6 +40,12 @@ class Operand:
         raise NotImplementedError
 
     def read(self, state=None):
+        raise NotImplementedError
+
+    def ready(self, forward):
+        raise NotImplementedError
+
+    def latch(self, forward):
         raise NotImplementedError
 
     def can_write(self):
@@ -196,6 +210,48 @@ class RegRef(Operand):
             self._value = writer._value
         return self._value
 
+    # -- fused read side (forwarding from a set of states) ---------------
+    def ready(self, forward):
+        """Whether :meth:`latch` can obtain the operand now.
+
+        True when ``can_read()`` holds, or when the pending writer has
+        produced its value and its instruction resides in a place whose
+        name, or whose stage's name, is in the set ``forward``.
+        """
+        register = self.register
+        writer = register.regfile.writers[register.index]
+        if writer is None or writer is self:
+            return True
+        if not writer._has_value:
+            return False
+        token = writer.token
+        if token is None:
+            return False
+        place = token.place
+        return place is not None and (place.name in forward or place.stage.name in forward)
+
+    def latch(self, forward):
+        """Latch the operand, from the register or the bypass; see :meth:`ready`.
+
+        Raises ``RuntimeError`` when :meth:`ready` is false.
+        """
+        register = self.register
+        regfile = register.regfile
+        writer = regfile.writers[register.index]
+        if writer is None or writer is self:
+            value = self._value = regfile.data[register.index]
+            return value
+        if writer._has_value:
+            token = writer.token
+            place = token.place if token is not None else None
+            if place is not None and (place.name in forward or place.stage.name in forward):
+                value = self._value = writer._value
+                return value
+        raise RuntimeError(
+            "operand %r was latched although ready() is false; "
+            "guard the transition with ready()" % (self,)
+        )
+
     # -- write side ------------------------------------------------------
     def can_write(self):
         """True if the register can be reserved for writing (no pending writer)."""
@@ -289,6 +345,12 @@ class Const(Operand):
         return state is None
 
     def read(self, state=None):
+        return self._value
+
+    def ready(self, forward):
+        return True
+
+    def latch(self, forward):
         return self._value
 
     def can_write(self):

@@ -78,6 +78,9 @@ class InstructionToken(Token):
     instance attributes, set once when the token is created, so model code
     reads them exactly like the paper's examples — ``t.s1.can_read()``,
     ``t.d.reserve_write()`` — at the cost of an ordinary attribute lookup.
+    The class defines no ``__getattr__``, so those lookups stay eligible
+    for the interpreter's attribute-access specialisation; a name that is
+    neither token state nor a symbol raises the plain ``AttributeError``.
     Tokens are normally created by a
     :class:`~repro.core.decoder.TokenLayout`; passing ``operands`` here
     binds the given objects as they are.
@@ -110,14 +113,6 @@ class InstructionToken(Token):
             check_symbols(opclass, operands)
             self.__dict__.update(operands)
             self._register_refs = _flatten_register_operands(operands.values())
-
-    def __getattr__(self, name):
-        # Only reached when normal lookup fails: symbols are instance
-        # attributes, so this is a genuine miss.
-        raise AttributeError(
-            "%r is neither a token attribute nor a symbol of operation class %r"
-            % (name, self.__dict__.get("opclass"))
-        )
 
     @property
     def type(self):

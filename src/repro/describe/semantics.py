@@ -56,10 +56,6 @@ from repro.describe.substrate import (
     compute_memory_address,
     compute_multiply,
     condition_holds,
-    operand_read,
-    operand_ready,
-    operands_ready,
-    token_flags_ready,
 )
 
 #: A resolved hook: either field may be ``None``.
@@ -82,7 +78,9 @@ class ArmSemantics:
         self.decoder = decoder
         self.predictor = predictor
         self.issue_control = issue_control
-        self.forward_states = tuple(spec.hazards.forward_states)
+        #: The bypass states as a set: an operand's pending writer forwards
+        #: when its place's name or its stage's name is a member.
+        self.forward_states = frozenset(spec.hazards.forward_states)
         self.front_flush_stages = tuple(spec.hazards.front_flush_stages)
         self.redirect_flush_stages = tuple(spec.hazards.redirect_flush_stages)
         self.s1_forward_state = spec.hazards.s1_forward_state
@@ -256,7 +254,7 @@ class ArmSemantics:
                 hit, predicted_taken, predicted_target = btb.lookup(pc)
                 word = memory.read_word(pc)
                 token = decoder.decode_word(word, pc=pc)
-                token.delay = memory.instruction_delay(pc)
+                token.delay_override = memory.instruction_delay(pc)
                 token.predicted_taken = bool(hit and predicted_taken)
                 if hit and predicted_taken:
                     core.redirect(predicted_target)
@@ -286,7 +284,7 @@ class ArmSemantics:
             pc = core.next_fetch()
             word = memory.read_word(pc)
             token = decoder.decode_word(word, pc=pc)
-            token.delay = memory.instruction_delay(pc)
+            token.delay_override = memory.instruction_delay(pc)
             if issue_control is not None:
                 issue_control.note_fetch(token)
             ctx.emit(token)
@@ -306,28 +304,29 @@ class ArmSemantics:
         backend_redirect = self.backend_redirect
         register = self.register
         gpr = net.register_files["gpr"]
+        # Control interlock, tested first by every issue guard as
+        # ``gpr_writers[PC] is not None``: no issue while a PC write is in
+        # flight.  A PC-writing instruction (``mov pc``, load-to-PC) holds a
+        # write reservation on r15 from issue to writeback; everything
+        # fetched behind it is wrong-path and will be squashed by the
+        # writeback redirect.  Blocking younger *issue* until then keeps
+        # short-path instructions (branch resolution, system ops) from
+        # completing — or performing side effects — before the redirect
+        # reaches them.  The check is free on PC-write-free code: r15
+        # simply never has a pending writer.  (The writers list is cleared
+        # in place on reset, so binding it once is safe.)
+        gpr_writers = gpr.writers
 
-        def pc_free():
-            """Control interlock: no issue while a PC write is in flight.
-
-            A PC-writing instruction (``mov pc``, load-to-PC) holds a write
-            reservation on r15 from issue to writeback; everything fetched
-            behind it is wrong-path and will be squashed by the writeback
-            redirect.  Blocking younger *issue* until then keeps short-path
-            instructions (branch resolution, system ops) from completing —
-            or performing side effects — before the redirect reaches them.
-            The check is free on PC-write-free code: r15 simply never has a
-            pending writer.
-            """
-            return gpr.writers[PC] is None
+        # Each operand check below is one call: ``ready(FWD)`` in guards,
+        # ``latch(FWD)`` in actions (see repro.core.operands).
 
         # ---- alu ----------------------------------------------------------
         def alu_issue_guard(t, _ctx):
-            if not pc_free():
+            if gpr_writers[PC] is not None:
                 return False
-            if not token_flags_ready(t, FWD):
+            if t.reads_flags and not t.fl.ready(FWD):
                 return False
-            if not operands_ready((t.s1, t.s2), FWD):
+            if not t.s1.ready(FWD) or not t.s2.ready(FWD):
                 return False
             if not t.d.can_write():
                 return False
@@ -340,8 +339,8 @@ class ArmSemantics:
             t.executed = executed
             if not executed:
                 return
-            operand_read(t.s1, FWD)
-            operand_read(t.s2, FWD)
+            t.s1.latch(FWD)
+            t.s2.latch(FWD)
             t.d.reserve_write()
             if t.writes_flags:
                 t.fl.reserve_write()
@@ -375,9 +374,9 @@ class ArmSemantics:
         s1_state = self.s1_forward_state
 
         def alu_bypass_guard(t, _ctx):
-            if not pc_free():
+            if gpr_writers[PC] is not None:
                 return False
-            if not token_flags_ready(t, FWD):
+            if t.reads_flags and not t.fl.ready(FWD):
                 return False
             if not t.s2.can_read():
                 return False
@@ -405,11 +404,11 @@ class ArmSemantics:
 
         # ---- mul ----------------------------------------------------------
         def mul_issue_guard(t, _ctx):
-            if not pc_free():
+            if gpr_writers[PC] is not None:
                 return False
-            if not token_flags_ready(t, FWD):
+            if t.reads_flags and not t.fl.ready(FWD):
                 return False
-            if not operands_ready((t.s1, t.s2, t.acc), FWD):
+            if not t.s1.ready(FWD) or not t.s2.ready(FWD) or not t.acc.ready(FWD):
                 return False
             if not t.d.can_write():
                 return False
@@ -422,9 +421,9 @@ class ArmSemantics:
             t.executed = executed
             if not executed:
                 return
-            operand_read(t.s1, FWD)
-            operand_read(t.s2, FWD)
-            operand_read(t.acc, FWD)
+            t.s1.latch(FWD)
+            t.s2.latch(FWD)
+            t.acc.latch(FWD)
             t.d.reserve_write()
             if t.writes_flags:
                 t.fl.reserve_write()
@@ -437,7 +436,7 @@ class ArmSemantics:
             result, flags, cycles = compute_multiply(t)
             t.annotations["result"] = result
             t.annotations["flags"] = flags
-            t.delay = cycles
+            t.delay_override = cycles
 
         def mul_buffer_action(t, _ctx):
             if not t.executed:
@@ -460,16 +459,16 @@ class ArmSemantics:
 
         # ---- mem ----------------------------------------------------------
         def mem_issue_guard(t, _ctx):
-            if not pc_free():
+            if gpr_writers[PC] is not None:
                 return False
-            if not token_flags_ready(t, FWD):
+            if t.reads_flags and not t.fl.ready(FWD):
                 return False
-            sources = [t.base, t.offset]
-            if not t.L:
-                sources.append(t.r)
-            if not operands_ready(sources, FWD):
+            if not t.base.ready(FWD) or not t.offset.ready(FWD):
                 return False
-            if t.L and not t.r.can_write():
+            if t.L:
+                if not t.r.can_write():
+                    return False
+            elif not t.r.ready(FWD):
                 return False
             if t.updates_base and not t.base.can_write():
                 return False
@@ -480,12 +479,12 @@ class ArmSemantics:
             t.executed = executed
             if not executed:
                 return
-            operand_read(t.base, FWD)
-            operand_read(t.offset, FWD)
+            t.base.latch(FWD)
+            t.offset.latch(FWD)
             if t.L:
                 t.r.reserve_write()
             else:
-                operand_read(t.r, FWD)
+                t.r.latch(FWD)
             if t.updates_base:
                 t.base.reserve_write()
 
@@ -504,7 +503,7 @@ class ArmSemantics:
             if not t.executed:
                 return
             address = t.annotations["address"]
-            t.delay = memory.data_delay(address, is_write=not t.L)
+            t.delay_override = memory.data_delay(address, is_write=not t.L)
             if not t.L:
                 value = t.r.value or 0
                 if t.byte:
@@ -539,7 +538,7 @@ class ArmSemantics:
             address, updated = compute_memory_address(t)
             t.annotations["address"] = address
             t.annotations["updated_base"] = updated
-            t.delay = memory.data_delay(address, is_write=not t.L)
+            t.delay_override = memory.data_delay(address, is_write=not t.L)
             if t.L:
                 t.r.value = memory.read_byte(address) if t.byte else memory.read_word(address)
             else:
@@ -563,18 +562,20 @@ class ArmSemantics:
 
         # ---- memm ---------------------------------------------------------
         def memm_issue_guard(t, _ctx):
-            if not pc_free():
+            if gpr_writers[PC] is not None:
                 return False
-            if not token_flags_ready(t, FWD):
+            if t.reads_flags and not t.fl.ready(FWD):
                 return False
-            if not operand_ready(t.base, FWD):
+            if not t.base.ready(FWD):
                 return False
             if t.L:
-                if not all(reg.can_write() for reg in t.regs):
-                    return False
+                for reg in t.regs:
+                    if not reg.can_write():
+                        return False
             else:
-                if not operands_ready(t.regs, FWD):
-                    return False
+                for reg in t.regs:
+                    if not reg.ready(FWD):
+                        return False
             if t.updates_base and not t.base.can_write():
                 return False
             return True
@@ -584,13 +585,13 @@ class ArmSemantics:
             t.executed = executed
             if not executed:
                 return
-            operand_read(t.base, FWD)
+            t.base.latch(FWD)
             if t.L:
                 for reg in t.regs:
                     reg.reserve_write()
             else:
                 for reg in t.regs:
-                    operand_read(reg, FWD)
+                    reg.latch(FWD)
             if t.updates_base:
                 t.base.reserve_write()
 
@@ -614,7 +615,7 @@ class ArmSemantics:
                     memory.write_word(address, t.regs[index].value or 0)
             # One transfer per cycle: the block occupies the memory stage
             # for at least one cycle per register.
-            t.delay = max(latency, len(addresses))
+            t.delay_override = max(latency, len(addresses))
 
         def memm_writeback_action(t, ctx):
             if not t.executed:
@@ -641,9 +642,9 @@ class ArmSemantics:
 
         # ---- branch -------------------------------------------------------
         def branch_taken_guard(t, _ctx):
-            if not pc_free():
+            if gpr_writers[PC] is not None:
                 return False
-            if not token_flags_ready(t, FWD):
+            if t.reads_flags and not t.fl.ready(FWD):
                 return False
             if t.link and not t.lr.can_write():
                 return False
@@ -662,9 +663,9 @@ class ArmSemantics:
                 t.lr.value = (t.pc + 4) & 0xFFFFFFFF
 
         def branch_not_taken_guard(t, _ctx):
-            if not pc_free():
+            if gpr_writers[PC] is not None:
                 return False
-            if not token_flags_ready(t, FWD):
+            if t.reads_flags and not t.fl.ready(FWD):
                 return False
             if t.link and not t.lr.can_write():
                 return False
@@ -678,9 +679,9 @@ class ArmSemantics:
                 predictor.record(t.pc, False)
 
         def branch_resolve_guard(t, _ctx):
-            if not pc_free():
+            if gpr_writers[PC] is not None:
                 return False
-            if not token_flags_ready(t, FWD):
+            if t.reads_flags and not t.fl.ready(FWD):
                 return False
             if t.link and not t.lr.can_write():
                 return False
@@ -706,9 +707,9 @@ class ArmSemantics:
                 t.lr.value = (t.pc + 4) & 0xFFFFFFFF
 
         def branch_decode_fig5_guard(t, _ctx):
-            if not pc_free():
+            if gpr_writers[PC] is not None:
                 return False
-            if not token_flags_ready(t, FWD):
+            if t.reads_flags and not t.fl.ready(FWD):
                 return False
             if t.link and not t.lr.can_write():
                 return False
@@ -743,7 +744,9 @@ class ArmSemantics:
 
         # ---- system -------------------------------------------------------
         def system_issue_guard(t, _ctx):
-            return pc_free() and token_flags_ready(t, FWD)
+            if gpr_writers[PC] is not None:
+                return False
+            return not t.reads_flags or t.fl.ready(FWD)
 
         def system_issue_action(t, ctx):
             executed = condition_holds(t, FWD)
@@ -761,10 +764,7 @@ class ArmSemantics:
             if not t.executed:
                 return
             if t.annotations.get("syscall") == 1:
-                output = getattr(core, "output", None)
-                if output is None:
-                    core.output = output = []
-                output.append(net.register_files["gpr"].data[0])
+                core.output.append(gpr.data[0])
             if t.annotations.get("halt"):
                 ctx.stop("halt")
 

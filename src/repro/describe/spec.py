@@ -200,7 +200,8 @@ class HazardSpec:
     how the paths interleave.
 
     * ``forward_states`` — pipeline states whose pending results the bypass
-      network may forward to the issue stage;
+      network may forward to the issue stage (a pending writer forwards
+      when its instruction's place, or that place's stage, is named here);
     * ``front_flush_stages`` — stages squashed when the front end is
       redirected at resolution time (taken branch / misprediction / halt);
     * ``redirect_flush_stages`` — fallback stage set for PC writes deep in
@@ -504,7 +505,7 @@ class PipelineSpec:
                     % (stage, _suggest(stage, stage_names))
                 )
         for stage in self.hazards.forward_states:
-            # A typo here would not fail at elaboration: can_read(state)
+            # A typo here would not fail at elaboration: the forward check
             # simply never matches and the bypass network silently vanishes.
             if stage not in stage_names:
                 problems.append(

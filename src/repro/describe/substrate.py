@@ -6,8 +6,6 @@ This module provides what every ARM7-family model needs:
   fetch program counter and halt state;
 * flag packing helpers (the CPSR is modeled as a one-entry register file so
   that flag hazards go through the same RegRef protocol as data hazards);
-* operand-readiness helpers combining ``can_read()`` with the forwarding
-  interfaces ``can_read(state)`` / ``read(state)``;
 * the six ARM operation classes (alu, mul, mem, memm, branch, system) and
   their symbol binders;
 * the :class:`Processor` facade that wires a model, its decoder and the
@@ -58,16 +56,20 @@ class ProcessorCore:
 
     RCPN transitions reference it exactly like they reference the memory
     system or the branch predictor (paper Section 3: "A transition can
-    directly reference non-pipeline units").
+    directly reference non-pipeline units").  ``output`` collects the
+    values the program prints through ``SWI 1``; :meth:`reset` (run by
+    ``Processor.load_program``) empties it.
     """
 
     def __init__(self):
         self.fetch_pc = 0
         self.halted = False
+        self.output = []
 
     def reset(self, entry=0):
         self.fetch_pc = entry
         self.halted = False
+        self.output = []
 
     def next_fetch(self):
         """Return the current fetch address and advance it sequentially."""
@@ -197,48 +199,6 @@ class IssueControl:
         if self.in_order:
             token.issued = True
             self._oldest_live()  # opportunistically drop the retired front
-
-
-# ---------------------------------------------------------------------------
-# Operand readiness with forwarding
-# ---------------------------------------------------------------------------
-
-def operand_ready(operand, forward_states=()):
-    """True when an operand can be obtained now.
-
-    Either the architectural register is free of pending writers
-    (``can_read()``) or the pending writer currently resides in one of the
-    ``forward_states`` *and* has already produced its value (the bypass
-    network has something to forward).
-    """
-    if operand.can_read():
-        return True
-    for state in forward_states:
-        if operand.can_read(state):
-            writer = operand.register.writer
-            if writer is not None and writer.has_value:
-                return True
-    return False
-
-
-def operand_read(operand, forward_states=()):
-    """Latch an operand value, using the bypass path when necessary."""
-    if operand.can_read():
-        return operand.read()
-    for state in forward_states:
-        if operand.can_read(state):
-            writer = operand.register.writer
-            if writer is not None and writer.has_value:
-                return operand.read(state)
-    raise RuntimeError(
-        "operand %r was read although operand_ready() is false; "
-        "guard the transition with operand_ready()" % (operand,)
-    )
-
-
-def operands_ready(operands, forward_states=()):
-    """Readiness of a collection of operands."""
-    return all(operand_ready(op, forward_states) for op in operands)
 
 
 # ---------------------------------------------------------------------------
@@ -466,18 +426,16 @@ _CONDITION_TABLE = tuple(
 )
 
 
-def condition_holds(token, forward_states=()):
-    """Evaluate the token's condition code, reading flags if needed."""
+def condition_holds(token, forward):
+    """Evaluate the token's condition code, latching the flags if needed.
+
+    ``forward`` is the set of bypass state names :meth:`RegRef.latch
+    <repro.core.operands.RegRef.latch>` may forward the flags from.
+    """
     if not token.reads_flags:
         return True
-    flags_value = operand_read(token.fl, forward_states)
+    flags_value = token.fl.latch(forward)
     return _CONDITION_TABLE[token.cond][(flags_value or 0) & 0xF]
-
-
-def token_flags_ready(token, forward_states=()):
-    if not token.reads_flags:
-        return True
-    return operand_ready(token.fl, forward_states)
 
 
 _LOGICAL_OPCODES = frozenset(

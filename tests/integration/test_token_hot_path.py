@@ -1,11 +1,13 @@
-"""Count-based hot-path regression test for instruction tokens (no timing).
+"""Hot-path regression test for instruction tokens (no timing).
 
-Operation-class symbols are plain token attributes, so a whole simulation
-must never reach ``InstructionToken.__getattr__``: that fallback only
-exists to report a genuine miss.  The test wraps it with a call counter,
-runs ``crc`` on a single- and a dual-issue model under the reference and
-the source-generated backends, and checks both the count and the golden
-cycle counts (``tests/integration/test_golden_stats.py``).
+Operation-class symbols are plain token attributes and
+``InstructionToken`` defines no ``__getattr__`` fallback, so every
+``t.symbol`` read on the hot path is an ordinary, specialisable attribute
+lookup.  The test checks that the fallback stays absent, that a genuine
+miss still raises ``AttributeError`` naming the attribute, and that
+``crc`` on a single- and a dual-issue model under the reference and the
+source-generated backends keeps its golden cycle counts
+(``tests/integration/test_golden_stats.py``).
 """
 
 import pytest
@@ -21,32 +23,20 @@ CYCLES = {
 }
 
 
-@pytest.fixture
-def getattr_calls(monkeypatch):
-    calls = []
-    original = InstructionToken.__getattr__
-
-    def counting(self, name):
-        calls.append(name)
-        return original(self, name)
-
-    monkeypatch.setattr(InstructionToken, "__getattr__", counting)
-    return calls
-
-
 @pytest.mark.parametrize("backend", ["interpreted", "generated"])
 @pytest.mark.parametrize(("model", "kernel"), sorted(CYCLES))
-def test_simulation_never_falls_back_to_getattr(getattr_calls, model, kernel, backend):
+def test_simulation_never_falls_back_to_getattr(model, kernel, backend):
+    assert "__getattr__" not in vars(InstructionToken)
     processor = build_processor(model, backend=backend)
     processor.load_program(get_workload(kernel, scale=1).program)
     stats = processor.run(max_cycles=1_000_000)
     assert stats.finish_reason == "halt"
     assert stats.cycles == CYCLES[(model, kernel)]
-    assert getattr_calls == []
 
 
-def test_counter_sees_a_genuine_miss(getattr_calls):
+def test_a_genuine_miss_raises_attribute_error():
     token = InstructionToken(instr=None, opclass="alu")
-    with pytest.raises(AttributeError):
+    with pytest.raises(AttributeError, match="s1"):
         token.s1
-    assert getattr_calls == ["s1"]
+    with pytest.raises(KeyError, match="s1"):
+        token.symbol("s1")

@@ -248,6 +248,7 @@ def observable_state(processor, stats):
         "finish_reason": stats.finish_reason,
         "registers": [processor.register(index) for index in range(16)],
         "flags": processor.flags(),
+        "output": list(processor.core.output),
     }
 
 
@@ -298,8 +299,9 @@ def test_processor_reset_is_run_to_run_reproducible(model, kernel, backend):
     """``Processor.reset()`` must make re-runs bit-reproducible on every backend.
 
     One processor object, three runs of the same workload with a full reset
-    in between: statistics and architectural state must match exactly (the
-    caches, predictors and engine state all return to their initial state).
+    in between: statistics, architectural state and SWI output must match
+    exactly (the caches, predictors, engine state and the core's output all
+    return to their initial state).
     """
     workload = get_workload(kernel, scale=1)
     processor = build_processor(model, backend=backend)

@@ -132,8 +132,10 @@ def test_symbols_are_instance_attributes(processor, words):
         assert symbol in vars(token)
     assert token.symbol("d") is token.d
     assert "instr" not in token.operands
-    with pytest.raises(AttributeError, match="neither a token attribute nor a symbol"):
+    with pytest.raises(AttributeError, match="no_such_symbol"):
         token.no_such_symbol
+    with pytest.raises(KeyError, match="no_such_symbol"):
+        token.symbol("no_such_symbol")
     with pytest.raises(KeyError):
         token.symbol("pc")
 
